@@ -13,12 +13,13 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
 from . import __version__
 from .convex_roof import RoofConfig, roof_F
-from .errors import SegrentError, StateFileError
+from .errors import ConfigError, SegrentError, StateFileError
 from .measures import MeasureConfig, measure_E, measure_F
 from .segre_ideal import (
     MinorSpec,
@@ -107,10 +108,13 @@ def parse_state_file(doc: dict, where: str = "state file"):
 
 def read_state_file(path: str):
     """Load a state file; returns (state, sha256 hex digest of the bytes)."""
+    def reject_constant(token: str):
+        raise StateFileError(f"{path}: non-finite number {token} is not allowed")
+
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     return parse_state_file(doc, where=path), hashlib.sha256(raw).hexdigest()
@@ -118,7 +122,7 @@ def read_state_file(path: str):
 
 def write_state_file(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_file_dict(obj), fh, sort_keys=True, indent=2)
+        json.dump(state_file_dict(obj), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -200,6 +204,8 @@ def _cmd_measure(args, argv) -> dict:
 def _cmd_separable(args, argv) -> dict:
     state, digest = read_state_file(args.infile)
     state = _require_pure(state, args.infile)
+    if not 0.0 <= args.tol < np.inf:
+        raise ConfigError(f"tol must be a finite number >= 0, got {args.tol!r}")
     results = {
         "tolerance": args.tol,
         "segre": _membership_dict(segre_residual(state, args.tol)),
@@ -212,13 +218,10 @@ def _cmd_separable(args, argv) -> dict:
 def _cmd_generators(args, argv) -> dict:
     dims = Dims(args.dims)
     specs = enumerate_segre_generators(dims)
-    per_slot: dict[str, int] = {}
-    for spec in specs:
-        per_slot[str(spec.slot)] = per_slot.get(str(spec.slot), 0) + 1
     results = {
         "dims": list(dims.sizes),
         "count": len(specs),
-        "per_slot": per_slot,
+        "per_slot": dict(Counter(str(s.slot) for s in specs)),
         "specs": [{"slot": s.slot, "pair": [list(t) for t in s.pair]} for s in specs],
     }
     return _envelope("generators", argv, results, None, {"dims": list(dims.sizes)})
@@ -346,13 +349,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         report = args.handler(args, argv)
+        # inputs are checked finite, so a NaN here is an internal error
+        json.dump(report, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
     except (SegrentError, OSError) as exc:
         print(f"segrent: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
         print(f"segrent: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ class DimensionError(SegrentError):
 
 
 class DegenerateStateError(SegrentError):
-    """All-zero amplitude vector or zero embedding factor."""
+    """All-zero or non-finite amplitude vector, or a zero embedding factor."""
 
 
 class UnsupportedStateError(SegrentError):

@@ -2,13 +2,12 @@
 
 Two measures are provided. The slot measure sums |g|^2 over the slot
 generators; with its default normalization it equals the generalized
-concurrence sqrt(2 (1 - Tr rho_A^2)) on bipartite states (the pairing
-convention double-counts each 2x2 determinant exactly enough for the
-constant to be 1; the test suite pins this against an independent
-partial-trace oracle). The exchange measure sums over every canonical
-exchange class and every index pair; its default normalization of 2
-makes it agree with the slot measure on bipartite states, where the two
-families coincide up to complement-halving.
+concurrence sqrt(2 (1 - Tr rho_A^2)) on bipartite states. The exchange
+measure sums over every canonical exchange class and every index pair;
+its default normalization of 2 makes it agree with the slot measure on
+bipartite states. Each family's sum is 1 - Tr rho_S^2 of its bipartition
+(the multipartite concurrence of Carvalho, Mintert and Buchleitner),
+computed from the Schmidt coefficients, never by enumerating pairs.
 
 Both vanish identically on product states. For four or more parties the
 slot measure still certifies full separability but is not a faithful
@@ -21,11 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-import numpy as np
-
 from .errors import ConfigError, DimensionError, NormalizationError
 from .segre_ideal import PermClass, class_generator_sums, slot_generator_sums
-from .tensor_core import BoxTensor, NORM_TOL, reduced_purity
+from .tensor_core import BoxTensor, reduced_purity
 
 DEFAULT_NORM_E = 1.0
 DEFAULT_NORM_F = 2.0
@@ -43,9 +40,9 @@ class MeasureConfig:
     include_breakdown: bool = False
 
     def __post_init__(self):
-        if self.normalization is not None and not self.normalization > 0.0:
+        if self.normalization is not None and not 0.0 < self.normalization < math.inf:
             raise ConfigError(
-                f"normalization must be positive, got {self.normalization}")
+                f"normalization must be positive and finite, got {self.normalization}")
 
 
 @dataclass(frozen=True)
@@ -60,17 +57,24 @@ class MeasureReport:
 
 
 def _require_normalized(state: BoxTensor) -> None:
-    norm_sq = float(np.vdot(state.amps, state.amps).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not state.is_normalized():
         raise NormalizationError(
-            f"measures require a unit-norm state; |amps|^2 = {norm_sq!r}. "
+            f"measures require a unit-norm state; |amps|^2 = {state.norm ** 2!r}. "
             "Normalize explicitly instead of relying on silent scaling.")
 
 
-def _report(norm: float, partials, keys, breakdown: bool,
-            notes: tuple[str, ...]) -> MeasureReport:
-    sum_sq = float(math.fsum(float(p) for p in partials))
-    per_class = dict(zip(keys, (float(p) for p in partials))) if breakdown else None
+def _measure(state: BoxTensor, config: MeasureConfig | None, default_norm: float,
+             family, notes: tuple[str, ...] = ()) -> MeasureReport:
+    """Shared body; ``family(state)`` gives (keys, per-family sums)."""
+    cfg = config or MeasureConfig()
+    norm = default_norm if cfg.normalization is None else cfg.normalization
+    _require_normalized(state)
+    if state.dims.m < 2:
+        keys, sums, notes = [], [], (_NOTE_SINGLE_PARTY,)
+    else:
+        keys, sums = family(state)
+    sum_sq = math.fsum(float(p) for p in sums)
+    per_class = dict(zip(keys, (float(p) for p in sums))) if cfg.include_breakdown else None
     return MeasureReport(math.sqrt(norm * sum_sq), sum_sq, norm, per_class, notes)
 
 
@@ -80,15 +84,10 @@ def measure_E(state: BoxTensor, config: MeasureConfig | None = None) -> MeasureR
     Default N = 1, calibrated so the bipartite value equals the
     generalized concurrence. Zero exactly on product states.
     """
-    cfg = config or MeasureConfig()
-    norm = DEFAULT_NORM_E if cfg.normalization is None else cfg.normalization
-    _require_normalized(state)
     m = state.dims.m
-    if m < 2:
-        return _report(norm, [], [], cfg.include_breakdown, (_NOTE_SINGLE_PARTY,))
-    sums, _ = slot_generator_sums(state)
-    notes = (_NOTE_MANY_PARTIES,) if m >= 4 else ()
-    return _report(norm, sums, range(m), cfg.include_breakdown, notes)
+    return _measure(state, config, DEFAULT_NORM_E,
+                    lambda st: (range(m), slot_generator_sums(st)),
+                    (_NOTE_MANY_PARTIES,) if m >= 4 else ())
 
 
 def measure_F(state: BoxTensor, config: MeasureConfig | None = None) -> MeasureReport:
@@ -98,13 +97,7 @@ def measure_F(state: BoxTensor, config: MeasureConfig | None = None) -> MeasureR
     complement pair) over all unordered index pairs. Default N = 2 so the
     bipartite value matches :func:`measure_E`.
     """
-    cfg = config or MeasureConfig()
-    norm = DEFAULT_NORM_F if cfg.normalization is None else cfg.normalization
-    _require_normalized(state)
-    if state.dims.m < 2:
-        return _report(norm, [], [], cfg.include_breakdown, (_NOTE_SINGLE_PARTY,))
-    classes, sums, _ = class_generator_sums(state)
-    return _report(norm, sums, classes, cfg.include_breakdown, ())
+    return _measure(state, config, DEFAULT_NORM_F, class_generator_sums)
 
 
 def bipartite_concurrence_oracle(state: BoxTensor) -> float:

@@ -12,13 +12,14 @@ slots; its singletons reproduce the slot family, and S and its
 complement give identical generators, so enumeration keeps one
 representative per pair by excluding the last slot from S.
 
-Residual scans never materialize generator objects: pairs are streamed
-in vectorized index blocks, so memory stays bounded for any dims.
+Every generator of slot set S is a 2x2 minor of the flattening M_S; sums
+and residuals work on M_S (singular values, blocked minor maxima) only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -27,10 +28,9 @@ import numpy as np
 from .errors import DimensionError, GeneratorSpecError, PartitionError
 from .tensor_core import BoxTensor, Dims, DimsLike, as_dims, multi_index, segre_embed
 
-MATERIALIZE_CAP = 4096       # largest Pi N_j for which generator lists are built
+MATERIALIZE_CAP = 1_000_000  # largest slot-generator count for which lists are built
 DEFAULT_MEMBER_TOL = 1e-10
-_PAIR_BLOCK_BUDGET = 1 << 20     # index pairs held per streamed block
-_BIG_SUM_THRESHOLD = 1000        # above this, accumulate in extended precision
+_PAIR_BLOCK_BUDGET = 1 << 20     # minor values held per streamed block
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,25 @@ def iter_segre_generators(dims: DimsLike) -> Iterator[MinorSpec]:
     for j in range(dims.m):
         for a, k in enumerate(indices):
             for l in indices[a + 1:]:
-                if k[j] == l[j]:
-                    continue
-                if all(k[i] == l[i] for i in range(dims.m) if i != j):
-                    continue
-                yield MinorSpec(j, (k, l))
+                if k[j] != l[j] and k[:j] + k[j + 1:] != l[:j] + l[j + 1:]:
+                    yield MinorSpec(j, (k, l))
+
+
+def segre_generator_count(dims: DimsLike) -> int:
+    """Number of slot generators: sum_j C(N_j, 2) D_j (D_j - 1), D_j = total / N_j."""
+    dims = as_dims(dims)
+    return sum(math.comb(n, 2) * (dims.total // n) * (dims.total // n - 1)
+               for n in dims.sizes)
 
 
 def enumerate_segre_generators(dims: DimsLike) -> list[MinorSpec]:
     """Materialize :func:`iter_segre_generators` (empty for one party)."""
     dims = as_dims(dims)
-    if dims.total > MATERIALIZE_CAP:
+    count = segre_generator_count(dims)
+    if count > MATERIALIZE_CAP:
         raise DimensionError(
-            f"refusing to materialize generators for {dims.total} > "
-            f"{MATERIALIZE_CAP} basis states; use iter_segre_generators")
+            f"refusing to materialize {count} > {MATERIALIZE_CAP} generators "
+            f"for dims {dims.sizes}; use iter_segre_generators")
     return list(iter_segre_generators(dims))
 
 
@@ -128,10 +133,8 @@ def enumerate_perm_classes(m: int) -> list[PermClass]:
     m = int(m)
     if m < 1:
         raise DimensionError(f"party count must be >= 1, got {m}")
-    subsets = []
-    for r in range(1, m):
-        subsets.extend(itertools.combinations(range(m - 1), r))
-    return [PermClass(s) for s in sorted(subsets, key=lambda s: (len(s), s))]
+    # combinations come in lexicographic order, so this is (size, subset) order
+    return [PermClass(s) for r in range(1, m) for s in itertools.combinations(range(m - 1), r)]
 
 
 def _check_tuple(t: Sequence[int], dims: Dims, label: str) -> tuple[int, ...]:
@@ -147,12 +150,7 @@ def _check_tuple(t: Sequence[int], dims: Dims, label: str) -> tuple[int, ...]:
 
 def evaluate_minor(state: BoxTensor, spec: MinorSpec) -> complex:
     """Value of one slot generator at the state."""
-    dims = state.dims
-    if spec.slot >= dims.m:
-        raise GeneratorSpecError(f"slot {spec.slot} out of range for dims {dims.sizes}")
-    k = _check_tuple(spec.pair[0], dims, "k")
-    l = _check_tuple(spec.pair[1], dims, "l")
-    return evaluate_perm_minor(state, (spec.slot,), (k, l))
+    return evaluate_perm_minor(state, (spec.slot,), spec.pair)
 
 
 def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
@@ -183,77 +181,75 @@ def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
     return complex(t[k] * t[l] - t[tuple(ks)] * t[tuple(ls)])
 
 
-def _pair_blocks(total: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream all flat index pairs a < b as (A, B) array blocks."""
-    rows_per_block = max(1, _PAIR_BLOCK_BUDGET // max(total, 1))
-    for r0 in range(0, total - 1, rows_per_block):
-        rows = np.arange(r0, min(r0 + rows_per_block, total - 1))
-        counts = total - 1 - rows
-        a = np.repeat(rows, counts)
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        b = np.arange(counts.sum()) - np.repeat(starts, counts) + a + 1
-        yield a, b
+def _flattening(tensor: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
+    """M_rows (row-major): slots in ``rows`` index rows, the rest columns."""
+    perm = list(rows) + [j for j in range(tensor.ndim) if j not in rows]
+    return tensor.transpose(perm).reshape(math.prod(tensor.shape[j] for j in rows), -1)
 
 
-def _scan_blocks(amps: np.ndarray, dims: Dims, subsets: Sequence[tuple[int, ...]],
-                 slot_filter: bool):
-    """Accumulate sum |g|^2 and max |g| per generator family.
+def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
+    """Sum of |g|^2 over one family's pairs: 2 sum_{i<j} s_i^2 s_j^2 of M_rows.
 
-    ``subsets`` lists the slot sets to exchange (singletons for the slot
-    family). ``slot_filter`` restricts singleton families to the pairs the
-    slot enumeration keeps; the extended family evaluates every pair.
-    Returns (per-family sums, (max, family_index, a, b) or None).
-    """
-    sizes = dims.sizes
-    strides = _strides(sizes)
-    acc_dtype = np.longdouble if dims.total > _BIG_SUM_THRESHOLD else np.float64
-    sums = np.zeros(len(subsets), dtype=acc_dtype)
-    worst = None
-    for a, b in _pair_blocks(dims.total):
-        digits_a = [(a // strides[j]) % sizes[j] for j in range(dims.m)]
-        digits_b = [(b // strides[j]) % sizes[j] for j in range(dims.m)]
-        prod_ab = amps[a] * amps[b]
-        for fam, subset in enumerate(subsets):
-            delta = np.zeros(a.shape, dtype=a.dtype)
-            for j in subset:
-                delta += (digits_b[j] - digits_a[j]) * strides[j]
-            if slot_filter:
-                j = subset[0]
-                keep = (digits_a[j] != digits_b[j]) & \
-                       (a - digits_a[j] * strides[j] != b - digits_b[j] * strides[j])
-                if not keep.any():
+    Each minor is the generator of two pairs (Cauchy-Binet gives the rest);
+    suffix sums stay accurate near product states, where 1 - sum s^4 does not."""
+    x = np.linalg.svd(_flattening(state.tensor, rows), compute_uv=False) ** 2
+    tail = np.cumsum(x[::-1])[::-1]
+    return float(2.0 * np.dot(x[:-1], tail[1:]))
+
+
+def _distinct_row_pairs(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs r1 < r2 whose multi-indices differ in every slot."""
+    r1 = r2 = np.zeros(1, dtype=np.intp)
+    for n in sizes:
+        x, y = np.nonzero(~np.eye(n, dtype=bool))
+        r1, r2 = (r1[:, None] * n + x).ravel(), (r2[:, None] * n + y).ravel()
+    keep = r1 < r2
+    return r1[keep], r2[keep]
+
+
+def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
+    """(max |minor|, family index, a, b) over the flattenings of ``families``.
+
+    Scans the row pairs of M_S differing in every slot of S against all
+    ordered column pairs, so both orientations of a minor tie exactly. The
+    witness: the first family attaining the max, then the smallest flat
+    pair (a, b), a < b, differing off S."""
+    total = state.dims.total
+    index = np.arange(total).reshape(state.dims.sizes)
+    best, best_fam, best_key = -1.0, 0, 0
+    for fam, rows in enumerate(families):
+        mat, flat = _flattening(state.tensor, rows), _flattening(index, rows)
+        r1, r2 = _distinct_row_pairs([state.dims[j] for j in rows])
+        n = mat.shape[1]
+        row_step, col_step = max(1, _PAIR_BLOCK_BUDGET // (n * n)), max(1, _PAIR_BLOCK_BUDGET // n)
+        for p0 in range(0, r1.size, row_step):
+            upper, lower = mat[r1[p0:p0 + row_step]], mat[r2[p0:p0 + row_step]]
+            for c0 in range(0, n, col_step):
+                c = slice(c0, c0 + col_step)
+                mags = np.abs(upper[:, c, None] * lower[:, None, :]
+                              - upper[:, None, :] * lower[:, c, None])
+                top = float(mags.max())
+                if top < best or (top == best and fam != best_fam):
                     continue
-                vals = prod_ab[keep] - amps[a[keep] + delta[keep]] * amps[b[keep] - delta[keep]]
-                a_f, b_f = a[keep], b[keep]
-            else:
-                vals = prod_ab - amps[a + delta] * amps[b - delta]
-                a_f, b_f = a, b
-            mags = np.abs(vals)
-            sums[fam] += np.sum(mags * mags, dtype=acc_dtype)
-            top = int(np.argmax(mags))
-            if worst is None or mags[top] > worst[0]:
-                worst = (float(mags[top]), fam, int(a_f[top]), int(b_f[top]))
-    return sums.astype(np.float64), worst
+                p, c1, c2 = np.nonzero(mags == top)
+                p, c1 = p + p0, c1 + c0
+                off = c1 != c2          # c1 == c2 only when the max is 0
+                a, b = flat[r1[p[off]], c1[off]], flat[r2[p[off]], c2[off]]
+                key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
+                if top > best or key < best_key:
+                    best, best_fam, best_key = top, fam, key
+    return (best, best_fam, *divmod(best_key, total))
 
 
-def slot_generator_sums(state: BoxTensor):
-    """Per-slot sum of |generator|^2 plus the worst slot witness."""
-    dims = state.dims
-    if dims.m < 2:
-        return np.zeros(0), None
-    subsets = [(j,) for j in range(dims.m)]
-    return _scan_blocks(state.amps, dims, subsets, slot_filter=True)
+def slot_generator_sums(state: BoxTensor) -> np.ndarray:
+    """Per-slot sum of |generator|^2."""
+    return np.array([_generator_sum(state, (j,)) for j in range(state.dims.m)])
 
 
 def class_generator_sums(state: BoxTensor):
-    """Per-canonical-class sum of |generator|^2 plus the worst witness."""
-    dims = state.dims
-    classes = enumerate_perm_classes(dims.m)
-    if not classes:
-        return [], np.zeros(0), None
-    sums, worst = _scan_blocks(state.amps, dims,
-                               [c.swap_set for c in classes], slot_filter=False)
-    return classes, sums, worst
+    """(canonical classes, per-class sum of |generator|^2 over all pairs)."""
+    classes = enumerate_perm_classes(state.dims.m)
+    return classes, np.array([_generator_sum(state, c.swap_set) for c in classes])
 
 
 def segre_residual(state: BoxTensor,
@@ -266,9 +262,8 @@ def segre_residual(state: BoxTensor,
     dims = state.dims
     if dims.m < 2:
         return MembershipReport(0.0, None, True, tolerance)
-    _, worst = slot_generator_sums(state)
-    mag, fam, a, b = worst
-    spec = MinorSpec(fam, (multi_index(a, dims), multi_index(b, dims)))
+    mag, slot, a, b = _worst_minor(state, [(j,) for j in range(dims.m)])
+    spec = MinorSpec(slot, (multi_index(a, dims), multi_index(b, dims)))
     return MembershipReport(mag, spec, mag <= tolerance, tolerance)
 
 
@@ -278,12 +273,16 @@ def t_variety_residual(state: BoxTensor,
 
     Maximizes over every canonical class and every unordered index pair;
     always at least the Segre residual since the families are a superset.
+    A class-S generator on (k, l) equals the class-(S & D) one (D: slots where
+    k, l differ), so each class scans only pairs differing on all of S.
     """
     dims = state.dims
-    classes, _, worst = class_generator_sums(state)
-    if worst is None:
+    classes = enumerate_perm_classes(dims.m)
+    if not classes:
         return MembershipReport(0.0, None, True, tolerance)
-    mag, fam, a, b = worst
+    mag, fam, a, b = _worst_minor(state, [c.swap_set for c in classes])
+    if mag == 0.0:       # every pair ties: a scan of all pairs starts at class 0, (0, 1)
+        fam, a, b = 0, 0, 1
     witness = (classes[fam], (multi_index(a, dims), multi_index(b, dims)))
     return MembershipReport(mag, witness, mag <= tolerance, tolerance)
 

@@ -100,6 +100,8 @@ class BoxTensor:
             raise DimensionError(
                 f"amplitude vector has length {amps.size}, dims {dims.sizes} "
                 f"require {dims.total}")
+        if not np.all(np.isfinite(amps)):
+            raise DegenerateStateError("amplitudes must be finite (no NaN or Inf)")
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -143,9 +145,11 @@ class DensityMatrix:
             raise DimensionError(
                 f"density matrix shape {mat.shape} does not match dims "
                 f"{dims.sizes} (need {d}x{d})")
-        if float(np.max(np.abs(mat - mat.conj().T))) > _HERM_TOL:
+        if not np.all(np.isfinite(mat)):
+            raise DensityMatrixError("matrix entries must be finite (no NaN or Inf)")
+        if not float(np.max(np.abs(mat - mat.conj().T))) <= _HERM_TOL:
             raise DensityMatrixError("matrix is not Hermitian within 1e-10")
-        if abs(float(np.trace(mat).real) - 1.0) > _TRACE_TOL:
+        if not abs(float(np.trace(mat).real) - 1.0) <= _TRACE_TOL:
             raise DensityMatrixError("trace differs from 1 by more than 1e-10")
         if float(np.min(np.linalg.eigvalsh(mat))) < _EIG_FLOOR:
             raise DensityMatrixError("matrix has an eigenvalue below -1e-10")
@@ -206,9 +210,6 @@ def make_state(dims: DimsLike, amps: Iterable[complex],
     dims = as_dims(dims)
     arr = np.array(list(amps) if not isinstance(amps, np.ndarray) else amps,
                    dtype=complex).reshape(-1)
-    if arr.size != dims.total:
-        raise DimensionError(
-            f"got {arr.size} amplitudes, dims {dims.sizes} require {dims.total}")
     if normalize:
         arr = _unit(arr)
     return BoxTensor(dims, arr)

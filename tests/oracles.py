@@ -148,3 +148,31 @@ def brute_wootters(rho):
     lam = np.sqrt(np.abs(np.real(np.linalg.eigvals(r))))
     lam = np.sort(lam)[::-1]
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def brute_residual_witness(tensor, family):
+    """(residual, family index, k, l) under the witness tie-break rule.
+
+    ``family`` is "slot" (slot j, over the filtered pairs of
+    brute_segre_pairs) or "class" (canonical subsets, over every pair
+    k < l). The residual is the largest |generator|. The witness is the
+    first family in order whose largest magnitude equals it and, within
+    that family, the first pair (k, l), k < l in row-major order, that
+    attains it; a strict comparison in loop order gives exactly that.
+    """
+    dims = tensor.shape
+    if family == "slot":
+        swaps = [[j] for j in range(len(dims))]
+        pairs = brute_segre_pairs(dims)
+        groups = [[(k, l) for j2, k, l in pairs if j2 == j] for j in range(len(dims))]
+    else:
+        swaps = brute_canonical_subsets(len(dims))
+        groups = [list(itertools.combinations(all_multi_indices(dims), 2))] * len(swaps)
+    best = None
+    for fam, (swap, group) in enumerate(zip(swaps, groups)):
+        for k, l in group:
+            k2, l2 = swap_positions(k, l, swap)
+            v = abs(tensor[k] * tensor[l] - tensor[k2] * tensor[l2])
+            if best is None or v > best[0]:
+                best = (v, fam, k, l)
+    return best

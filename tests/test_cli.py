@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,37 @@ def test_dims_length_mismatch_is_input_error(tmp_path, capsys, bell):
     code, _, err = run_cli(capsys, "measure", "--in", str(path))
     assert code == 2
     assert "6" in err      # names the required length for the declared dims
+
+
+@pytest.mark.parametrize("command", ["measure", "separable"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+def test_non_finite_amplitude_is_input_error(tmp_path, capsys, bell, command, token):
+    doc = json.dumps(cli.state_file_dict(bell)).replace("0.0", token, 1)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, command, "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-0.5", "inf"])
+def test_separable_rejects_bad_tolerance(tmp_path, capsys, bell, tol):
+    path = tmp_path / "bell.json"
+    cli.write_state_file(str(path), bell)
+    code, out, err = run_cli(capsys, "separable", "--in", str(path), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be a finite number >= 0" in err
+
+
+def test_generators_refused_by_count_up_front(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "generators", "--dims", ",".join(["2"] * 12))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "50307072" in err
 
 
 def test_mixed_file_rejected_by_measure(tmp_path, capsys):

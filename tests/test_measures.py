@@ -120,6 +120,40 @@ def test_basis_relabeling_invariance():
         assert abs(sg.measure_F(shuffled).value - base_f) <= 1e-12
 
 
+METAMORPHIC_DIMS = [(2, 2, 2), (2, 3, 2), (3, 3, 3), (2, 2, 2, 2, 2)]
+
+
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dims", METAMORPHIC_DIMS)
+def test_local_unitary_invariance(dims):
+    rng = np.random.default_rng(sum(dims) * 31 + len(dims))
+    for seed in range(3):
+        st = sg.random_state("haar-pure", dims, seed=seed + 200)
+        t = st.tensor
+        for j, n in enumerate(dims):
+            t = np.moveaxis(np.tensordot(_haar_unitary(rng, n), t, axes=(1, j)), 0, j)
+        moved = sg.BoxTensor(dims, t.reshape(-1))
+        assert abs(sg.measure_E(moved).value - sg.measure_E(st).value) <= 1e-12
+        assert abs(sg.measure_F(moved).value - sg.measure_F(st).value) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", METAMORPHIC_DIMS)
+def test_party_permutation_invariance(dims):
+    rng = np.random.default_rng(sum(dims) * 37 + len(dims))
+    st = sg.random_state("haar-pure", dims, seed=300 + len(dims))
+    base_e, base_f = sg.measure_E(st).value, sg.measure_F(st).value
+    for _ in range(4):
+        perm = [int(j) for j in rng.permutation(len(dims))]
+        moved = sg.BoxTensor(tuple(dims[j] for j in perm),
+                             np.transpose(st.tensor, perm).reshape(-1))
+        assert abs(sg.measure_E(moved).value - base_e) <= 1e-12
+        assert abs(sg.measure_F(moved).value - base_f) <= 1e-12
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 2, 2, 2)])
 def test_exchange_dominates_slot_measure(dims):
     # the exchange families contain the slot families (up to complements),
@@ -157,6 +191,9 @@ def test_normalization_override(bell):
         sg.MeasureConfig(normalization=0.0)
     with pytest.raises(sg.ConfigError):
         sg.MeasureConfig(normalization=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(sg.ConfigError):
+            sg.MeasureConfig(normalization=bad)
 
 
 def test_unnormalized_input_rejected():
@@ -185,8 +222,7 @@ def test_four_party_note_on_slot_measure():
 
 
 def test_large_system_extended_precision_path():
-    # Pi N_j = 1024 crosses the extended-accumulation threshold;
-    # the m-party GHZ slot sum is m/2 exactly
+    # Pi N_j = 1024; the m-party GHZ slot sum is m/2 exactly
     m = 10
     st = sg.named_state("ghz", (2,) * m)
     assert sg.measure_E(st).value == pytest.approx(math.sqrt(m / 2.0), abs=1e-12)

@@ -48,6 +48,12 @@ def test_materialization_cap():
     assert first.slot == 0
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 3, 2), (2, 2, 2, 2)])
+def test_generator_count_formula(dims):
+    assert segre_ideal.segre_generator_count(dims) == \
+        len(sg.enumerate_segre_generators(dims))
+
+
 def test_minor_spec_invariants():
     with pytest.raises(sg.GeneratorSpecError):
         sg.MinorSpec(0, ((1, 1), (0, 0)))        # not lexicographic
@@ -240,13 +246,51 @@ def test_zero_residual_iff_rank_one():
     assert np.max(np.abs(recon - ghz.tensor)) > 0.1
 
 
+def _real_gaussian_state(dims, seed):
+    x = np.random.default_rng(seed).standard_normal(int(np.prod(dims)))
+    return sg.BoxTensor(dims, x / np.linalg.norm(x))
+
+
+# real amplitudes only: both orientations of every minor tie exactly there
+WITNESS_REAL_STATES = [
+    ("bell", (2, 2)), ("bell", (3, 3)), ("ghz", (2, 2, 2)), ("ghz", (2, 2, 2, 2)),
+    ("w", (2, 2, 2)), ("w", (2, 2, 2, 2, 2)), ("basis-product", (2, 3, 2)),
+    ((2, 2, 3), 71), ((2, 3, 2), 72), ((2, 2, 2, 2), 73),
+]
+
+
+@pytest.mark.parametrize("name,arg", WITNESS_REAL_STATES)
+def test_residual_witness_tie_break_rule(name, arg):
+    st = (sg.named_state(name, arg) if isinstance(name, str)
+          else _real_gaussian_state(name, arg))
+    seg = sg.segre_residual(st)
+    mag, fam, k, l = oracles.brute_residual_witness(st.tensor, "slot")
+    assert seg.residual == mag
+    assert (seg.worst.slot, seg.worst.pair) == (fam, (k, l))
+    tv = sg.t_variety_residual(st)
+    mag, fam, k, l = oracles.brute_residual_witness(st.tensor, "class")
+    assert tv.residual == mag
+    perm_class, pair = tv.worst
+    assert (perm_class.swap_set, pair) == \
+        (tuple(oracles.brute_canonical_subsets(st.dims.m)[fam]), (k, l))
+
+
+@pytest.mark.parametrize("dims,seed", [((2, 2, 3), 81), ((2, 3, 2), 82), ((2, 2, 2, 2), 83)])
+def test_residual_witness_reproduces_residual_complex(dims, seed):
+    st = sg.random_state("haar-pure", dims, seed=seed)
+    seg = sg.segre_residual(st)
+    assert abs(abs(sg.evaluate_minor(st, seg.worst)) - seg.residual) <= 1e-15
+    tv = sg.t_variety_residual(st)
+    assert abs(abs(sg.evaluate_perm_minor(st, *tv.worst)) - tv.residual) <= 1e-15
+
+
 def test_block_streaming_matches_single_block(monkeypatch):
     st = sg.random_state("haar-pure", (2, 3, 2, 2), seed=13)
     whole = sg.segre_residual(st)
-    sums_whole, _ = segre_ideal.slot_generator_sums(st)
+    sums_whole = segre_ideal.slot_generator_sums(st)
     monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 7)
     chunked = sg.segre_residual(st)
-    sums_chunked, _ = segre_ideal.slot_generator_sums(st)
+    sums_chunked = segre_ideal.slot_generator_sums(st)
     assert abs(whole.residual - chunked.residual) <= 1e-13
     assert np.max(np.abs(sums_whole - sums_chunked)) <= 1e-13
 

@@ -40,6 +40,12 @@ def test_make_state_zero_vector_rejected():
         sg.make_state((2, 2), [0, 0, 0, 0], normalize=True)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_amplitudes_rejected(bad):
+    with pytest.raises(sg.DegenerateStateError):
+        sg.BoxTensor((2, 2), [bad, 0.5, 0.5, 0.5])
+
+
 def test_normalize_is_idempotent_exactly():
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -263,6 +269,11 @@ def test_density_matrix_validation():
         sg.DensityMatrix((2, 2), indef)
     with pytest.raises(sg.DimensionError):
         sg.DensityMatrix((2, 2), np.eye(3) / 3.0)
+    for bad in (np.nan, np.inf):
+        nonfinite = np.eye(4) / 4.0
+        nonfinite[1, 1] = bad
+        with pytest.raises(sg.DensityMatrixError):
+            sg.DensityMatrix((2, 2), nonfinite)
 
 
 def test_density_from_state(bell):
