@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .convex_roof import RoofConfig, roof_F
 from .errors import ConfigError, SegrentError, StateFileError
-from .measures import MeasureConfig, measure_E, measure_F
+from .measures import MeasureConfig, measure_E, measure_F, require_normalized
 from .segre_ideal import (
     MinorSpec,
     check_partition_commutativity,
@@ -29,12 +29,12 @@ from .segre_ideal import (
     t_variety_residual,
 )
 from .tensor_core import (
+    NAMED_STATES,
     BoxTensor,
     DensityMatrix,
     Dims,
-    _rng_for,
-    _unit,
     named_state,
+    product_factors,
     segre_embed,
 )
 
@@ -229,7 +229,11 @@ def _cmd_generators(args, argv) -> dict:
 
 def _cmd_roof(args, argv) -> dict:
     state, digest = read_state_file(args.infile)
-    rho = state.density() if isinstance(state, BoxTensor) else state
+    if isinstance(state, BoxTensor):
+        require_normalized(state)
+        rho = state.density()
+    else:
+        rho = state
     cfg = RoofConfig(ensemble_size=args.ensemble, restarts=args.restarts,
                      max_iters=args.iters, seed=args.seed)
     estimate = roof_F(rho, cfg)
@@ -248,11 +252,7 @@ def _cmd_roof(args, argv) -> dict:
 
 def _cmd_embed(args, argv) -> dict:
     dims = Dims(args.dims)
-    rng = _rng_for(args.seed)
-    factors = []
-    for n in dims.sizes:
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        factors.append(_unit(z))
+    factors = product_factors(dims, args.seed)
     state = segre_embed(factors)
     splits = [args.split] if args.split is not None else list(range(1, dims.m))
     deviations = {str(l): check_partition_commutativity(factors, l) for l in splits}
@@ -332,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("gen-state", help="emit a named state as a state file")
-    p.add_argument("--name", required=True,
-                   choices=("bell", "ghz", "w", "basis-product"))
+    p.add_argument("--name", required=True, choices=NAMED_STATES)
     p.add_argument("--dims", type=_dims_arg, required=True)
     p.add_argument("--out", default=None, help="also write the file here")
     p.set_defaults(handler=_cmd_gen_state)

@@ -9,21 +9,23 @@ K x r isometry V via phi_k = sum_i V_ki sqrt(lambda_i) v_i, with weights
 Hermitian generator H (V = first r columns of exp(iH)) with random
 restarts; the returned value is always the verified average of a
 concrete decomposition, hence a certified upper bound on the infimum.
+The search objective evaluates every candidate decomposition at once
+from the direct 2x2 minors of the batched flattenings M_S of its rows,
+the same matrices whose singular values give the pure-state measures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, IsometryError
 from .measures import DEFAULT_NORM_F, measure_F
-from .segre_ideal import _strides, enumerate_perm_classes
-from .tensor_core import BoxTensor, Decomposition, DensityMatrix
+from .segre_ideal import enumerate_perm_classes
+from .tensor_core import BoxTensor, Decomposition, DensityMatrix, flattening
 
 RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
@@ -106,42 +108,32 @@ def ensemble_from_isometry(rho: DensityMatrix, v) -> Decomposition:
     return Decomposition(tuple(float(w) for w in weights[kept]), states)
 
 
-@lru_cache(maxsize=32)
-def _minor_index_table(sizes: tuple[int, ...]):
-    """Flattened gather indices for every canonical class and index pair."""
-    total = math.prod(sizes)
-    strides = _strides(sizes)
-    a, b = np.triu_indices(total, 1)
-    digits_a = [(a // strides[j]) % sizes[j] for j in range(len(sizes))]
-    digits_b = [(b // strides[j]) % sizes[j] for j in range(len(sizes))]
-    a_swapped, b_swapped = [], []
-    classes = enumerate_perm_classes(len(sizes))
-    for c in classes:
-        delta = sum((digits_b[j] - digits_a[j]) * strides[j] for j in c.swap_set)
-        a_swapped.append(a + delta)
-        b_swapped.append(b - delta)
-    n = len(classes)
-    table = (np.tile(a, n), np.tile(b, n),
-             np.concatenate(a_swapped) if n else a[:0],
-             np.concatenate(b_swapped) if n else b[:0])
-    for arr in table:
-        arr.setflags(write=False)
-    return table
-
-
 def _ensemble_objective(sizes: tuple[int, ...]):
     """Batched sum_k of the unnormalized exchange measure of row phi_k.
 
-    For unnormalized rows the per-row value sqrt(N sum |g|^2) already
-    equals weight * measure of the normalized state, because the
-    generators are quadratic in the amplitudes.
+    Every generator of class S is a 2x2 minor of the flattening M_S of the
+    row, and each minor is the generator of exactly two index pairs, so a
+    row's sum of |g|^2 is twice the sum of |minor|^2 over row pairs
+    r1 < r2 and column pairs c1 < c2 of every M_S. For unnormalized rows
+    the per-row value sqrt(N sum |g|^2) already equals weight * measure of
+    the normalized state, because the generators are quadratic in the
+    amplitudes.
     """
-    ia, ib, ja, jb = _minor_index_table(sizes)
+    plan = []
+    for c in enumerate_perm_classes(len(sizes)):
+        n_rows = math.prod(sizes[j] for j in c.swap_set)
+        plan.append((c.swap_set, np.triu_indices(n_rows, 1),
+                     np.triu_indices(math.prod(sizes) // n_rows, 1)))
 
     def value(phi: np.ndarray) -> np.ndarray:          # (..., K, d) -> (...)
-        g = phi[..., ia] * phi[..., ib] - phi[..., ja] * phi[..., jb]
-        ssq = np.sum(g.real * g.real + g.imag * g.imag, axis=-1)
-        return np.sum(np.sqrt(DEFAULT_NORM_F * ssq), axis=-1)
+        ssq = np.zeros(phi.shape[:-1])
+        for rows, (r1, r2), (c1, c2) in plan:
+            mat = flattening(phi, sizes, rows)
+            upper, lower = np.take(mat, r1, axis=-2), np.take(mat, r2, axis=-2)
+            g = np.take(upper, c1, axis=-1) * np.take(lower, c2, axis=-1)
+            g -= np.take(upper, c2, axis=-1) * np.take(lower, c1, axis=-1)
+            ssq += np.sum((g * g.conj()).real, axis=(-2, -1))
+        return np.sum(np.sqrt(2.0 * DEFAULT_NORM_F * ssq), axis=-1)
 
     return value
 

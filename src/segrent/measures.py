@@ -56,7 +56,8 @@ class MeasureReport:
     notes: tuple[str, ...] = ()
 
 
-def _require_normalized(state: BoxTensor) -> None:
+def require_normalized(state: BoxTensor) -> None:
+    """Refuse a pure state whose |amps|^2 is not 1 within NORM_TOL."""
     if not state.is_normalized():
         raise NormalizationError(
             f"measures require a unit-norm state; |amps|^2 = {state.norm ** 2!r}. "
@@ -68,7 +69,7 @@ def _measure(state: BoxTensor, config: MeasureConfig | None, default_norm: float
     """Shared body; ``family(state)`` gives (keys, per-family sums)."""
     cfg = config or MeasureConfig()
     norm = default_norm if cfg.normalization is None else cfg.normalization
-    _require_normalized(state)
+    require_normalized(state)
     if state.dims.m < 2:
         keys, sums, notes = [], [], (_NOTE_SINGLE_PARTY,)
     else:
@@ -109,6 +110,6 @@ def bipartite_concurrence_oracle(state: BoxTensor) -> float:
     if state.dims.m != 2:
         raise DimensionError(
             f"concurrence oracle needs exactly two parties, got {state.dims.m}")
-    _require_normalized(state)
+    require_normalized(state)
     gap = 2.0 * (1.0 - reduced_purity(state, [0]))
     return math.sqrt(max(gap, 0.0))

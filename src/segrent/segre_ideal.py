@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, GeneratorSpecError, PartitionError
-from .tensor_core import BoxTensor, Dims, DimsLike, as_dims, multi_index, segre_embed
+from .tensor_core import (BoxTensor, Dims, DimsLike, as_dims, flattening, multi_index,
+                          segre_embed)
 
 MATERIALIZE_CAP = 1_000_000  # largest slot-generator count for which lists are built
 DEFAULT_MEMBER_TOL = 1e-10
@@ -81,13 +82,6 @@ class MembershipReport:
 
 
 SwapLike = Union[PermClass, Iterable[int]]
-
-
-def _strides(sizes: Sequence[int]) -> list[int]:
-    out = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
-        out[j] = out[j + 1] * sizes[j + 1]
-    return out
 
 
 def iter_segre_generators(dims: DimsLike) -> Iterator[MinorSpec]:
@@ -181,18 +175,12 @@ def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
     return complex(t[k] * t[l] - t[tuple(ks)] * t[tuple(ls)])
 
 
-def _flattening(tensor: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
-    """M_rows (row-major): slots in ``rows`` index rows, the rest columns."""
-    perm = list(rows) + [j for j in range(tensor.ndim) if j not in rows]
-    return tensor.transpose(perm).reshape(math.prod(tensor.shape[j] for j in rows), -1)
-
-
 def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
     """Sum of |g|^2 over one family's pairs: 2 sum_{i<j} s_i^2 s_j^2 of M_rows.
 
     Each minor is the generator of two pairs (Cauchy-Binet gives the rest);
     suffix sums stay accurate near product states, where 1 - sum s^4 does not."""
-    x = np.linalg.svd(_flattening(state.tensor, rows), compute_uv=False) ** 2
+    x = np.linalg.svd(flattening(state.amps, state.dims.sizes, rows), compute_uv=False) ** 2
     tail = np.cumsum(x[::-1])[::-1]
     return float(2.0 * np.dot(x[:-1], tail[1:]))
 
@@ -214,12 +202,12 @@ def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     ordered column pairs, so both orientations of a minor tie exactly. The
     witness: the first family attaining the max, then the smallest flat
     pair (a, b), a < b, differing off S."""
-    total = state.dims.total
-    index = np.arange(total).reshape(state.dims.sizes)
+    sizes, total = state.dims.sizes, state.dims.total
+    index = np.arange(total)
     best, best_fam, best_key = -1.0, 0, 0
     for fam, rows in enumerate(families):
-        mat, flat = _flattening(state.tensor, rows), _flattening(index, rows)
-        r1, r2 = _distinct_row_pairs([state.dims[j] for j in rows])
+        mat, flat = flattening(state.amps, sizes, rows), flattening(index, sizes, rows)
+        r1, r2 = _distinct_row_pairs([sizes[j] for j in rows])
         n = mat.shape[1]
         row_step, col_step = max(1, _PAIR_BLOCK_BUDGET // (n * n)), max(1, _PAIR_BLOCK_BUDGET // n)
         for p0 in range(0, r1.size, row_step):

@@ -263,6 +263,21 @@ def segre_embed(factors: Sequence[Sequence[complex]]) -> BoxTensor:
     return BoxTensor(Dims(tuple(v.size for v in arrs)), out.reshape(-1))
 
 
+def flattening(amps: np.ndarray, sizes: Sequence[int],
+               rows: Sequence[int]) -> np.ndarray:
+    """M_rows of row-major amplitudes (..., total): (..., D_rows, D_rest).
+
+    Slots in ``rows`` index the rows and the other slots the columns, each
+    in row-major order; leading batch axes are kept as they are.
+    """
+    lead = amps.shape[:-1]
+    b = len(lead)
+    perm = [*range(b), *(b + j for j in rows),
+            *(b + j for j in range(len(sizes)) if j not in rows)]
+    mat = amps.reshape(lead + tuple(sizes)).transpose(perm)
+    return mat.reshape(lead + (math.prod(sizes[j] for j in rows), -1))
+
+
 def reduced_purity(state: BoxTensor, parties: Iterable[int]) -> float:
     """Tr(rho_A^2) for the reduced state on the given party subset.
 
@@ -275,9 +290,7 @@ def reduced_purity(state: BoxTensor, parties: Iterable[int]) -> float:
         raise PartitionError(f"party subset {keep} out of range for m={m}")
     if not keep or len(keep) == m:
         raise PartitionError("party subset must be nonempty and proper")
-    rest = [j for j in range(m) if j not in keep]
-    d_a = math.prod(state.dims[j] for j in keep)
-    mat = np.transpose(state.tensor, keep + rest).reshape(d_a, -1)
+    mat = flattening(state.amps, state.dims.sizes, keep)
     gram = mat @ mat.conj().T
     return float(np.real(np.sum(gram * gram.conj())))
 
@@ -317,6 +330,13 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
+def product_factors(dims: DimsLike, seed: int) -> list[np.ndarray]:
+    """Seeded unit factor vectors, one haar vector per party."""
+    rng = _rng_for(seed)
+    return [_unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for n in as_dims(dims).sizes]
+
+
 def random_state(kind: str, dims: DimsLike, seed: int,
                  rank: int | None = None):
     """Seeded random states: haar-pure, product, or mixed.
@@ -330,16 +350,12 @@ def random_state(kind: str, dims: DimsLike, seed: int,
     if kind not in RANDOM_KINDS:
         raise UnsupportedStateError(
             f"unknown random kind {kind!r}; choose one of {RANDOM_KINDS}")
+    if kind == "product":
+        return segre_embed(product_factors(dims, seed))
     rng = _rng_for(seed)
     if kind == "haar-pure":
         z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
         return BoxTensor(dims, _unit(z))
-    if kind == "product":
-        factors = []
-        for n in dims.sizes:
-            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            factors.append(_unit(z))
-        return segre_embed(factors)
     r = dims.total if rank is None else int(rank)
     if r < 1:
         raise DimensionError(f"mixed-state rank must be >= 1, got {r}")

@@ -152,12 +152,28 @@ def test_roof_command_accepts_pure_file(tmp_path, capsys, bell):
     assert report["results"]["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_roof_command_refuses_unnormalized_pure_file(tmp_path, capsys):
+    path = tmp_path / "bell-unnormalized.json"
+    cli.write_state_file(str(path), sg.BoxTensor((2, 2), [1.0, 0.0, 0.0, 1.0]))
+    code, out, err = run_cli(capsys, "roof", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "unit-norm" in err
+    assert err == run_cli(capsys, "measure", "--in", str(path))[2]
+
+
 def test_embed_command(capsys):
     report = run_json(capsys, "embed", "--dims", "2,3,2", "--seed", "3")
     results = report["results"]
     assert results["segre_residual"] <= 1e-12
     assert set(results["split_deviation"]) == {"1", "2"}
     assert all(v <= 1e-12 for v in results["split_deviation"].values())
+
+
+def test_embed_amps_match_random_product_state(capsys):
+    report = run_json(capsys, "embed", "--dims", "2,3,2", "--seed", "3")
+    want = sg.random_state("product", (2, 3, 2), seed=3).amps
+    assert report["results"]["amps"] == cli._as_pairs(want)
 
 
 def test_embed_single_split(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import segrent as sg
+from segrent.convex_roof import _ensemble_objective
 
 import oracles
 from conftest import werner_state
@@ -70,6 +71,21 @@ def test_isometry_validation():
         sg.ensemble_from_isometry(rho, np.eye(3))           # too few columns? wrong r
     with pytest.raises(sg.IsometryError):
         sg.ensemble_from_isometry(rho, np.eye(4)[:, :3])    # K x 3 against rank 4
+
+
+# ------------------------------------------------------------ roof objective
+
+@pytest.mark.parametrize("dims,seed", [((2, 2), 0), ((2, 3), 1), ((3, 3), 2),
+                                       ((2, 2, 2), 3), ((2, 2, 3), 4)])
+def test_ensemble_objective_matches_oracle(dims, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, math.prod(dims))
+    phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)   # unnormalized
+    got = _ensemble_objective(dims)(phi)
+    want = [math.fsum(math.sqrt(2.0 * oracles.brute_perm_sum_and_max(row.reshape(dims))[0])
+                      for row in batch) for batch in phi]
+    assert got.shape == (shape[0],)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------------ roof search
