@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from collections import Counter
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .convex_roof import RoofConfig, roof_F
 from .errors import ConfigError, SegrentError, StateFileError
-from .measures import MeasureConfig, measure_E, measure_F, require_normalized
+from .measures import MeasureConfig, measure_E, measure_F
 from .segre_ideal import (
     MinorSpec,
     check_partition_commutativity,
@@ -229,11 +230,7 @@ def _cmd_generators(args, argv) -> dict:
 
 def _cmd_roof(args, argv) -> dict:
     state, digest = read_state_file(args.infile)
-    if isinstance(state, BoxTensor):
-        require_normalized(state)
-        rho = state.density()
-    else:
-        rho = state
+    rho = state.density() if isinstance(state, BoxTensor) else state
     cfg = RoofConfig(ensemble_size=args.ensemble, restarts=args.restarts,
                      max_iters=args.iters, seed=args.seed)
     estimate = roof_F(rho, cfg)
@@ -336,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims_arg, required=True)
     p.add_argument("--out", default=None, help="also write the file here")
     p.set_defaults(handler=_cmd_gen_state)
+    # argparse reads "-1e-10" as an option name; make "-<digit>" a value
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -31,7 +31,7 @@ class GeneratorSpecError(SegrentError):
 
 
 class NormalizationError(SegrentError):
-    """Measure evaluation requires a unit-norm state; input was not."""
+    """A measure or BoxTensor.density() needs a unit-norm state; input was not."""
 
 
 class DensityMatrixError(SegrentError):

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .errors import ConfigError, DimensionError, NormalizationError
+from .errors import ConfigError, DimensionError
 from .segre_ideal import PermClass, class_generator_sums, slot_generator_sums
-from .tensor_core import BoxTensor, reduced_purity
+from .tensor_core import BoxTensor, reduced_purity, require_normalized
 
 DEFAULT_NORM_E = 1.0
 DEFAULT_NORM_F = 2.0
@@ -54,14 +54,6 @@ class MeasureReport:
     normalization: float
     per_class: Optional[Mapping[Union[int, PermClass], float]] = None
     notes: tuple[str, ...] = ()
-
-
-def require_normalized(state: BoxTensor) -> None:
-    """Refuse a pure state whose |amps|^2 is not 1 within NORM_TOL."""
-    if not state.is_normalized():
-        raise NormalizationError(
-            f"measures require a unit-norm state; |amps|^2 = {state.norm ** 2!r}. "
-            "Normalize explicitly instead of relying on silent scaling.")
 
 
 def _measure(state: BoxTensor, config: MeasureConfig | None, default_norm: float,

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateStateError,
     DensityMatrixError,
     DimensionError,
+    NormalizationError,
     PartitionError,
     UnsupportedStateError,
 )
@@ -125,9 +126,18 @@ class BoxTensor:
         return BoxTensor(self.dims, amps)
 
     def density(self) -> "DensityMatrix":
-        """Rank-one projector of a normalized state."""
+        """Rank-one projector; the state must be unit-norm within NORM_TOL."""
+        require_normalized(self)
         psi = _unit(self.amps)
         return DensityMatrix(self.dims, np.outer(psi, psi.conj()))
+
+
+def require_normalized(state: BoxTensor) -> None:
+    """Refuse a pure state whose |amps|^2 is not 1 within NORM_TOL."""
+    if not state.is_normalized():
+        raise NormalizationError(
+            f"measures require a unit-norm state; |amps|^2 = {state.norm ** 2!r}. "
+            "Normalize explicitly instead of relying on silent scaling.")
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,7 @@ def test_non_finite_amplitude_is_input_error(tmp_path, capsys, bell, command, to
     assert "finite" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "-0.5", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "-0.5", "inf", "-1e-10"])
 def test_separable_rejects_bad_tolerance(tmp_path, capsys, bell, tol):
     path = tmp_path / "bell.json"
     cli.write_state_file(str(path), bell)
@@ -228,6 +228,15 @@ def test_separable_rejects_bad_tolerance(tmp_path, capsys, bell, tol):
     assert code == 2
     assert out == ""
     assert "tol must be a finite number >= 0" in err
+
+
+def test_measure_rejects_negative_exponent_norm(tmp_path, capsys, bell):
+    path = tmp_path / "bell.json"
+    cli.write_state_file(str(path), bell)
+    code, out, err = run_cli(capsys, "measure", "--in", str(path), "--norm", "-1e3")
+    assert code == 2
+    assert out == ""
+    assert "normalization must be positive and finite" in err
 
 
 def test_generators_refused_by_count_up_front(capsys):

@@ -110,6 +110,14 @@ def test_roof_werner_point_matches_closed_form():
     assert abs(est.value - sg.wootters_oracle(rho)) <= 2e-2
 
 
+@pytest.mark.parametrize("p", [0.4, 0.6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roof_werner_reaches_closed_form(p, seed):
+    # a single restart at the default K must land on (3p - 1) / 2 from above
+    est = sg.roof_F(werner_state(p), sg.RoofConfig(restarts=1, seed=seed))
+    assert -1e-12 <= est.value - (3.0 * p - 1.0) / 2.0 <= 1e-8
+
+
 def test_roof_separable_mixture_near_zero():
     mats = np.zeros((4, 4), dtype=complex)
     for s in range(50):

@@ -281,6 +281,12 @@ def test_density_from_state(bell):
     assert rho.purity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_density_refuses_non_unit_state():
+    # same policy as the measures: no silent rescaling before the roof
+    with pytest.raises(sg.NormalizationError, match="unit-norm"):
+        sg.BoxTensor((2, 2), [1.0, 0.0, 0.0, 1.0]).density()
+
+
 def test_decomposition_validation(bell, ghz3):
     sg.Decomposition((1.0,), (bell,))
     with pytest.raises(sg.DimensionError):
