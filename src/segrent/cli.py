@@ -207,10 +207,11 @@ def _cmd_separable(args, argv) -> dict:
     state = _require_pure(state, args.infile)
     if not 0.0 <= args.tol < np.inf:
         raise ConfigError(f"tol must be a finite number >= 0, got {args.tol!r}")
+    t_variety = t_variety_residual(state, args.tol)   # the larger scan from 4 qubits: refuses first
     results = {
         "tolerance": args.tol,
         "segre": _membership_dict(segre_residual(state, args.tol)),
-        "t_variety": _membership_dict(t_variety_residual(state, args.tol)),
+        "t_variety": _membership_dict(t_variety),
     }
     return _envelope("separable", argv, results,
                      _input_info(args.infile, digest, state), {"tolerance": args.tol})

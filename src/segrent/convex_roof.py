@@ -11,8 +11,9 @@ searches over V itself, retracting a complex K x r matrix Z to V by QR
 value is always the verified average of a concrete decomposition, hence
 a certified upper bound on the infimum.
 The search objective evaluates every candidate decomposition at once
-from the direct 2x2 minors of the batched flattenings M_S of its rows,
-the same matrices whose singular values give the pure-state measures.
+from the 2x2 minors (:func:`segrent.segre_ideal.minors`, the residuals'
+kernel) of the batched flattenings M_S of its rows. A search whose single
+sweep would evaluate more than SWEEP_MINOR_CAP minors is refused up front.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, IsometryError
 from .measures import DEFAULT_NORM_F, measure_F
-from .segre_ideal import enumerate_perm_classes
+from .segre_ideal import enumerate_perm_classes, minors
 from .tensor_core import BoxTensor, Decomposition, DensityMatrix, flattening
 
 RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
 _INITIAL_STEP = 0.5
 _VALUE_FLOOR = 1e-12     # objective is nonnegative; stop a restart at ~0
+SWEEP_MINOR_CAP = 1 << 24  # largest minor count one search sweep evaluates
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,7 @@ def _ensemble_objective(sizes: tuple[int, ...]):
     def value(phi: np.ndarray) -> np.ndarray:          # (..., K, d) -> (...)
         ssq = np.zeros(phi.shape[:-1])
         for rows, (r1, r2), (c1, c2) in plan:
-            mat = flattening(phi, sizes, rows)
-            upper, lower = np.take(mat, r1, axis=-2), np.take(mat, r2, axis=-2)
-            g = np.take(upper, c1, axis=-1) * np.take(lower, c2, axis=-1)
-            g -= np.take(upper, c2, axis=-1) * np.take(lower, c1, axis=-1)
+            g = minors(flattening(phi, sizes, rows), (r1, r2), (c1, c2))
             ssq += np.sum((g * g.conj()).real, axis=(-2, -1))
         return np.sum(np.sqrt(2.0 * DEFAULT_NORM_F * ssq), axis=-1)
 
@@ -146,7 +145,8 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     starts (plus Z = I, the eigen-decomposition, as the initial incumbent)
     and reports the best decomposition average found. Deterministic for a
     fixed seed: restart seeds come from fixed seed-sequence splitting, so
-    results do not depend on scheduling. Desk scale: total dimension <= 64.
+    results do not depend on scheduling. Raises ConfigError before the search
+    if one sweep, 2 (2Kr) candidates x K rows, exceeds SWEEP_MINOR_CAP minors.
     """
     cfg = config or RoofConfig()
     lam, vecs = _kept_eigs(rho)
@@ -164,9 +164,15 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
                                 for w, s in zip(dec.weights, dec.states)))
         return RoofEstimate(value, dec, (value,), (), notes)
 
-    w_rows = (vecs * np.sqrt(lam)).T                      # (r, d)
-    ensemble_value = _ensemble_objective(rho.dims.sizes)
+    sizes, total = rho.dims.sizes, rho.dims.total
     n_params = 2 * k * r
+    rows = [math.prod(sizes[j] for j in c.swap_set) for c in enumerate_perm_classes(len(sizes))]
+    sweep = 2 * n_params * k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows)
+    if sweep > SWEEP_MINOR_CAP:
+        raise ConfigError(f"one search sweep at ensemble size K={k} and rank {r} would "
+                          f"evaluate {sweep} > {SWEEP_MINOR_CAP} minors")
+    w_rows = (vecs * np.sqrt(lam)).T                      # (r, d)
+    ensemble_value = _ensemble_objective(sizes)
 
     def isometries(thetas: np.ndarray) -> np.ndarray:
         # rows hold Re Z then Im Z; V = Q diag(phase(diag R)) of Z = QR is
@@ -181,14 +187,12 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
 
     theta_best = np.concatenate([np.eye(k, r).ravel(), np.zeros(k * r)])
     best = float(objective(theta_best[None])[0])
-    trace = [best]
-    restart_bests = []
+    trace, restart_bests = [best], []
     for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(seq)
         theta = rng.standard_normal(n_params)
         fval = float(objective(theta[None])[0])
-        step = _INITIAL_STEP
-        iters = 0
+        step, iters = _INITIAL_STEP, 0
         while iters < cfg.max_iters and step > cfg.step_tolerance \
                 and fval > _VALUE_FLOOR:
             # fresh orthonormal poll directions each sweep: axis-aligned

@@ -12,8 +12,9 @@ slots; its singletons reproduce the slot family, and S and its
 complement give identical generators, so enumeration keeps one
 representative per pair by excluding the last slot from S.
 
-Every generator of slot set S is a 2x2 minor of the flattening M_S; sums
-and residuals work on M_S (singular values, blocked minor maxima) only.
+Every generator of slot set S is a 2x2 minor of the flattening M_S. Sums
+use its singular values; residuals and the roof objective use `minors`.
+Residual scans of more than RESIDUAL_SCAN_CAP minors are refused up front.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .errors import DimensionError, GeneratorSpecError, PartitionError
 from .tensor_core import (BoxTensor, Dims, DimsLike, as_dims, flattening, multi_index,
                           segre_embed)
 
-MATERIALIZE_CAP = 1_000_000  # largest slot-generator count for which lists are built
+MATERIALIZE_CAP = 200_000    # largest slot-generator count for which lists are built
+RESIDUAL_SCAN_CAP = 1 << 30  # largest minor count one residual scans
 DEFAULT_MEMBER_TOL = 1e-10
 _PAIR_BLOCK_BUDGET = 1 << 20     # minor values held per streamed block
 
@@ -164,8 +166,7 @@ def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
     if len(slots) >= dims.m:
         raise GeneratorSpecError("swap set must be a proper subset of the slots")
     k, l = pair
-    k = _check_tuple(k, dims, "k")
-    l = _check_tuple(l, dims, "l")
+    k, l = _check_tuple(k, dims, "k"), _check_tuple(l, dims, "l")
     if k == l:
         raise GeneratorSpecError("pair members must be distinct")
     ks, ls = list(k), list(l)
@@ -185,44 +186,55 @@ def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
     return float(2.0 * np.dot(x[:-1], tail[1:]))
 
 
-def _distinct_row_pairs(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs r1 < r2 whose multi-indices differ in every slot."""
-    r1 = r2 = np.zeros(1, dtype=np.intp)
-    for n in sizes:
-        x, y = np.nonzero(~np.eye(n, dtype=bool))
-        r1, r2 = (r1[:, None] * n + x).ravel(), (r2[:, None] * n + y).ravel()
-    keep = r1 < r2
-    return r1[keep], r2[keep]
+def _pair_blocks(sizes: Sequence[int], budget: int):
+    """Blocks of at most ``budget`` pairs r1 < r2 of multi-indices differing in every slot."""
+    first, rest, budget = sizes[0], math.prod(n * (n - 1) for n in sizes[1:]), max(1, budget)
+    step = max(1, budget // (first * rest))
+    for x0 in range(0, first - 1, step):         # the first slot orders each pair
+        r1, r2 = np.triu_indices(min(step, first - 1 - x0), x0 + 1, first)
+        r1 = r1 + x0
+        for n in sizes[1:]:
+            x, y = np.nonzero(~np.eye(n, dtype=bool))
+            r1, r2 = (r1[:, None] * n + x).ravel(), (r2[:, None] * n + y).ravel()
+        for p0 in range(0, r1.size, budget):
+            yield r1[p0:p0 + budget], r2[p0:p0 + budget]
+
+
+def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
+    """Minors of (..., R, C) matrices for row pairs (r1, r2) x column pairs (c1, c2)."""
+    (r1, r2), (c1, c2) = rows, cols
+    upper, lower = np.take(mat, r1, axis=-2), np.take(mat, r2, axis=-2)
+    g = np.take(upper, c1, axis=-1) * np.take(lower, c2, axis=-1)
+    g -= np.take(upper, c2, axis=-1) * np.take(lower, c1, axis=-1)
+    return g
 
 
 def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     """(max |minor|, family index, a, b) over the flattenings of ``families``.
 
-    Scans the row pairs of M_S differing in every slot of S against all
-    ordered column pairs, so both orientations of a minor tie exactly. The
-    witness: the first family attaining the max, then the smallest flat
-    pair (a, b), a < b, differing off S."""
+    Scans the row pairs of M_S differing in every slot of S against its column
+    pairs c1 < c2, about _PAIR_BLOCK_BUDGET minors a block. The witness: the
+    first family attaining the max, then the smallest flat pair (a, b), a < b,
+    over both orientations (M[r1,c1], M[r2,c2]), (M[r1,c2], M[r2,c1]) of each
+    maximal minor."""
     sizes, total = state.dims.sizes, state.dims.total
-    index = np.arange(total)
+    count = sum(math.prod(sizes[j] * (sizes[j] - 1) for j in rows) // 2
+                * math.comb(total // math.prod(sizes[j] for j in rows), 2) for rows in families)
+    if count > RESIDUAL_SCAN_CAP:
+        raise DimensionError(f"refusing to scan {count} > {RESIDUAL_SCAN_CAP} minors "
+                             f"for dims {sizes}")
     best, best_fam, best_key = -1.0, 0, 0
     for fam, rows in enumerate(families):
-        mat, flat = flattening(state.amps, sizes, rows), flattening(index, sizes, rows)
-        r1, r2 = _distinct_row_pairs([sizes[j] for j in rows])
-        n = mat.shape[1]
-        row_step, col_step = max(1, _PAIR_BLOCK_BUDGET // (n * n)), max(1, _PAIR_BLOCK_BUDGET // n)
-        for p0 in range(0, r1.size, row_step):
-            upper, lower = mat[r1[p0:p0 + row_step]], mat[r2[p0:p0 + row_step]]
-            for c0 in range(0, n, col_step):
-                c = slice(c0, c0 + col_step)
-                mags = np.abs(upper[:, c, None] * lower[:, None, :]
-                              - upper[:, None, :] * lower[:, c, None])
+        mat, flat = (flattening(x, sizes, rows) for x in (state.amps, np.arange(total)))
+        for u, v in _pair_blocks([sizes[j] for j in rows], _PAIR_BLOCK_BUDGET // mat.shape[1]):
+            for c1, c2 in _pair_blocks(mat.shape[1:], _PAIR_BLOCK_BUDGET // u.size):
+                mags = np.abs(minors(mat, (u, v), (c1, c2)))
                 top = float(mags.max())
                 if top < best or (top == best and fam != best_fam):
                     continue
-                p, c1, c2 = np.nonzero(mags == top)
-                p, c1 = p + p0, c1 + c0
-                off = c1 != c2          # c1 == c2 only when the max is 0
-                a, b = flat[r1[p[off]], c1[off]], flat[r2[p[off]], c2[off]]
+                p, q = np.nonzero(mags == top)
+                cols = np.stack([c1[q], c2[q]])      # both orientations
+                a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
                 key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
                 if top > best or key < best_key:
                     best, best_fam, best_key = top, fam, key

@@ -240,12 +240,35 @@ def test_measure_rejects_negative_exponent_norm(tmp_path, capsys, bell):
 
 
 def test_generators_refused_by_count_up_front(capsys):
+    for qubits, count in ((12, "50307072"), (9, "587520")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "generators", "--dims", ",".join(["2"] * qubits))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert count in err
+
+
+def test_separable_refused_by_scan_count_up_front(tmp_path, capsys):
+    path = tmp_path / "q13.json"
+    cli.write_state_file(str(path), sg.random_state("haar-pure", (2,) * 13, seed=0))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "generators", "--dims", ",".join(["2"] * 12))
+    code, out, err = run_cli(capsys, "separable", "--in", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert "50307072" in err
+    assert "minors" in err
+
+
+def test_roof_refused_by_sweep_size_up_front(tmp_path, capsys):
+    path = tmp_path / "q5-mixed.json"
+    cli.write_state_file(str(path), sg.random_state("mixed", (2,) * 5, seed=5))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "roof", "--in", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "K=36 and rank 32" in err
 
 
 def test_mixed_file_rejected_by_measure(tmp_path, capsys):

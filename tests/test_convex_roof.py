@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import segrent as sg
+from segrent import convex_roof
 from segrent.convex_roof import _ensemble_objective
 
 import oracles
@@ -183,6 +184,20 @@ def test_roof_config_validation():
         sg.RoofConfig(step_tolerance=0.0)
     with pytest.raises(sg.ConfigError):
         sg.RoofConfig(ensemble_size=0)
+
+
+def test_roof_refuses_oversized_sweep_up_front(monkeypatch):
+    # 3 qubits at rank 3, K = 6: 2 * (2 K r) candidates x K rows x 18 minors
+    rho = sg.random_state("mixed", (2, 2, 2), seed=1, rank=3)
+    cfg = sg.RoofConfig(restarts=1, max_iters=1)
+    monkeypatch.setattr(convex_roof, "SWEEP_MINOR_CAP", 7776)
+    sg.roof_F(rho, cfg)
+    monkeypatch.setattr(convex_roof, "SWEEP_MINOR_CAP", 7775)
+    with pytest.raises(sg.ConfigError, match=r"K=6 and rank 3 .* 7776 > 7775"):
+        sg.roof_F(rho, cfg)
+    monkeypatch.undo()
+    with pytest.raises(sg.ConfigError, match="K=36 and rank 32"):
+        sg.roof_F(sg.random_state("mixed", (2,) * 5, seed=5), cfg)
 
 
 def test_roof_notes_mention_size_cap():

@@ -286,13 +286,31 @@ def test_residual_witness_reproduces_residual_complex(dims, seed):
 
 def test_block_streaming_matches_single_block(monkeypatch):
     st = sg.random_state("haar-pure", (2, 3, 2, 2), seed=13)
-    whole = sg.segre_residual(st)
+    whole = [sg.segre_residual(st), sg.t_variety_residual(st)]
     sums_whole = segre_ideal.slot_generator_sums(st)
-    monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 7)
-    chunked = sg.segre_residual(st)
-    sums_chunked = segre_ideal.slot_generator_sums(st)
-    assert abs(whole.residual - chunked.residual) <= 1e-13
-    assert np.max(np.abs(sums_whole - sums_chunked)) <= 1e-13
+    # budget 1 splits the column pairs of every row pair; 7 splits both
+    for budget in (1, 7):
+        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
+        chunked = [sg.segre_residual(st), sg.t_variety_residual(st)]
+        for a, b in zip(whole, chunked):
+            assert (a.residual, a.worst) == (b.residual, b.worst)
+        sums_chunked = segre_ideal.slot_generator_sums(st)
+        assert np.max(np.abs(sums_whole - sums_chunked)) <= 1e-13
+
+
+def test_residual_scan_refused_up_front(monkeypatch):
+    # (2, 2, 2): 3 slots x 1 row pair x C(4, 2) column pairs = 18 segre minors;
+    # classes {0}, {1} scan 6 each and {0, 1} scans 2 row pairs x 1 = 14 in all
+    st = sg.random_state("haar-pure", (2, 2, 2), seed=3)
+    monkeypatch.setattr(segre_ideal, "RESIDUAL_SCAN_CAP", 18)
+    sg.segre_residual(st)
+    monkeypatch.setattr(segre_ideal, "RESIDUAL_SCAN_CAP", 14)
+    sg.t_variety_residual(st)
+    with pytest.raises(sg.DimensionError, match="18 > 14"):
+        sg.segre_residual(st)
+    monkeypatch.setattr(segre_ideal, "RESIDUAL_SCAN_CAP", 13)
+    with pytest.raises(sg.DimensionError, match="14 > 13"):
+        sg.t_variety_residual(st)
 
 
 # --------------------------------------------------------------- partitioning
