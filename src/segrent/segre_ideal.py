@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, GeneratorSpecError, PartitionError
-from .tensor_core import (BoxTensor, Dims, DimsLike, as_dims, flattening, multi_index,
-                          segre_embed)
+from .tensor_core import (BoxTensor, DimsLike, as_dims, check_multi_index, flattening,
+                          multi_index, segre_embed)
 
 MATERIALIZE_CAP = 200_000    # largest slot-generator count for which lists are built
 RESIDUAL_SCAN_CAP = 1 << 30  # largest minor count one residual scans
@@ -133,17 +133,6 @@ def enumerate_perm_classes(m: int) -> list[PermClass]:
     return [PermClass(s) for r in range(1, m) for s in itertools.combinations(range(m - 1), r)]
 
 
-def _check_tuple(t: Sequence[int], dims: Dims, label: str) -> tuple[int, ...]:
-    t = tuple(int(i) for i in t)
-    if len(t) != dims.m:
-        raise GeneratorSpecError(
-            f"{label} has {len(t)} components, dims have {dims.m}")
-    for i, n in zip(t, dims.sizes):
-        if not 0 <= i < n:
-            raise GeneratorSpecError(f"{label} component {i} out of range [0, {n})")
-    return t
-
-
 def evaluate_minor(state: BoxTensor, spec: MinorSpec) -> complex:
     """Value of one slot generator at the state."""
     return evaluate_perm_minor(state, (spec.slot,), spec.pair)
@@ -158,22 +147,19 @@ def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
     can both be evaluated, e.g. to check that they agree).
     """
     dims = state.dims
-    slots = swap.swap_set if isinstance(swap, PermClass) else tuple(sorted({int(j) for j in swap}))
-    if not slots:
-        raise GeneratorSpecError("swap set must be nonempty")
-    if any(j < 0 or j >= dims.m for j in slots):
+    slots = (swap if isinstance(swap, PermClass) else PermClass(swap)).swap_set
+    if slots[-1] >= dims.m:
         raise GeneratorSpecError(f"swap set {slots} out of range for dims {dims.sizes}")
     if len(slots) >= dims.m:
         raise GeneratorSpecError("swap set must be a proper subset of the slots")
     k, l = pair
-    k, l = _check_tuple(k, dims, "k"), _check_tuple(l, dims, "l")
+    k, l = (check_multi_index(t, dims, GeneratorSpecError, s) for t, s in ((k, "k"), (l, "l")))
     if k == l:
         raise GeneratorSpecError("pair members must be distinct")
-    ks, ls = list(k), list(l)
-    for j in slots:
-        ks[j], ls[j] = l[j], k[j]
+    ks = tuple(l[j] if j in slots else k[j] for j in range(dims.m))   # exchanged on slots
+    ls = tuple(k[j] if j in slots else l[j] for j in range(dims.m))
     t = state.tensor
-    return complex(t[k] * t[l] - t[tuple(ks)] * t[tuple(ls)])
+    return complex(t[k] * t[l] - t[ks] * t[ls])
 
 
 def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:

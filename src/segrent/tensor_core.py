@@ -225,19 +225,22 @@ def make_state(dims: DimsLike, amps: Iterable[complex],
     return BoxTensor(dims, arr)
 
 
+def check_multi_index(multi: Sequence[int], dims: Dims, error, label: str) -> tuple[int, ...]:
+    """``multi`` as ints; raises exception class ``error`` naming ``label`` if not in ``dims``."""
+    multi = tuple(int(i) for i in multi)
+    if len(multi) != dims.m:
+        raise error(f"{label} has {len(multi)} components, dims have {dims.m}")
+    for i, n in zip(multi, dims.sizes):
+        if not 0 <= i < n:
+            raise error(f"{label} component {i} out of range [0, {n})")
+    return multi
+
+
 def flat_index(multi: Sequence[int], dims: DimsLike) -> int:
     """Row-major offset of a multi-index (last slot fastest)."""
     dims = as_dims(dims)
-    if len(multi) != dims.m:
-        raise DimensionError(
-            f"multi-index has {len(multi)} components, dims have {dims.m}")
-    offset = 0
-    for i, n in zip(multi, dims.sizes):
-        i = int(i)
-        if not 0 <= i < n:
-            raise DimensionError(f"index component {i} out of range [0, {n})")
-        offset = offset * n + i
-    return offset
+    multi = check_multi_index(multi, dims, DimensionError, "multi-index")
+    return int(np.ravel_multi_index(multi, dims.sizes))
 
 
 def multi_index(flat: int, dims: DimsLike) -> tuple[int, ...]:
@@ -246,11 +249,7 @@ def multi_index(flat: int, dims: DimsLike) -> tuple[int, ...]:
     flat = int(flat)
     if not 0 <= flat < dims.total:
         raise DimensionError(f"flat index {flat} out of range [0, {dims.total})")
-    out = []
-    for n in reversed(dims.sizes):
-        out.append(flat % n)
-        flat //= n
-    return tuple(reversed(out))
+    return tuple(int(i) for i in np.unravel_index(flat, dims.sizes))
 
 
 def segre_embed(factors: Sequence[Sequence[complex]]) -> BoxTensor:
@@ -320,18 +319,15 @@ def named_state(name: str, dims: DimsLike) -> BoxTensor:
             raise UnsupportedStateError(
                 f"bell needs two parties of equal dimension, got {dims.sizes}")
         n = dims[0]
-        for i in range(n):
-            amps[i * n + i] = 1.0 / math.sqrt(n)
+        amps[::n + 1] = 1.0 / math.sqrt(n)      # the diagonal offsets i * n + i
     else:  # ghz / w
         if dims.m < 2 or any(n != 2 for n in dims.sizes):
             raise UnsupportedStateError(
                 f"{key} needs at least two qubits, got {dims.sizes}")
         if key == "ghz":
             amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-        else:
-            for j in range(dims.m):
-                amps[flat_index([1 if i == j else 0 for i in range(dims.m)], dims)] = \
-                    1.0 / math.sqrt(dims.m)
+        else:    # one-hot at slot j sits at offset 2^(m-1-j)
+            amps[2 ** np.arange(dims.m)] = 1.0 / math.sqrt(dims.m)
     return BoxTensor(dims, amps)
 
 
@@ -340,11 +336,14 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
+def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
+    return _unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
 def product_factors(dims: DimsLike, seed: int) -> list[np.ndarray]:
     """Seeded unit factor vectors, one haar vector per party."""
     rng = _rng_for(seed)
-    return [_unit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            for n in as_dims(dims).sizes]
+    return [_haar(rng, n) for n in as_dims(dims).sizes]
 
 
 def random_state(kind: str, dims: DimsLike, seed: int,
@@ -364,15 +363,13 @@ def random_state(kind: str, dims: DimsLike, seed: int,
         return segre_embed(product_factors(dims, seed))
     rng = _rng_for(seed)
     if kind == "haar-pure":
-        z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
-        return BoxTensor(dims, _unit(z))
+        return BoxTensor(dims, _haar(rng, dims.total))
     r = dims.total if rank is None else int(rank)
     if r < 1:
         raise DimensionError(f"mixed-state rank must be >= 1, got {r}")
     weights = rng.dirichlet(np.ones(r))
     acc = np.zeros((dims.total, dims.total), dtype=complex)
     for w in weights:
-        z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
-        psi = _unit(z)
+        psi = _haar(rng, dims.total)
         acc += w * np.outer(psi, psi.conj())
     return DensityMatrix(dims, acc)
