@@ -25,6 +25,7 @@ from .measures import MeasureConfig, measure_E, measure_F
 from .segre_ideal import (
     MinorSpec,
     check_partition_commutativity,
+    check_segre_scan,
     enumerate_segre_generators,
     segre_residual,
     t_variety_residual,
@@ -64,7 +65,10 @@ def _complex_entry(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) for x in value)):
         raise StateFileError(f"{where}: expected a [re, im] number pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise StateFileError(f"{where}: number too large for a float") from None
 
 
 def parse_state_file(doc: dict, where: str = "state file"):
@@ -116,7 +120,9 @@ def read_state_file(path: str):
         raw = fh.read()
     try:
         doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except StateFileError:
+        raise
+    except ValueError as exc:     # bad UTF-8 or JSON, or an integer of over 4300 digits
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     return parse_state_file(doc, where=path), hashlib.sha256(raw).hexdigest()
 
@@ -250,6 +256,7 @@ def _cmd_roof(args, argv) -> dict:
 
 def _cmd_embed(args, argv) -> dict:
     dims = Dims(args.dims)
+    check_segre_scan(dims)     # before the state is built once plus twice per split
     factors = product_factors(dims, args.seed)
     state = segre_embed(factors)
     splits = [args.split] if args.split is not None else list(range(1, dims.m))

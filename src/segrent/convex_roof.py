@@ -12,8 +12,8 @@ value is always the verified average of a concrete decomposition, hence
 a certified upper bound on the infimum.
 The search objective evaluates every candidate decomposition at once
 from the 2x2 minors (:func:`segrent.segre_ideal.minors`, the residuals'
-kernel) of the batched flattenings M_S of its rows. A search whose single
-sweep would evaluate more than SWEEP_MINOR_CAP minors is refused up front.
+kernel) of the batched flattenings M_S of its rows. A search whose restarts
+x sweeps would evaluate more than SEARCH_MINOR_CAP minors is refused up front.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ import numpy as np
 from .errors import ConfigError, DimensionError, IsometryError
 from .measures import DEFAULT_NORM_F, measure_F
 from .segre_ideal import enumerate_perm_classes, minors
-from .tensor_core import BoxTensor, Decomposition, DensityMatrix, flattening
+from .tensor_core import BoxTensor, Decomposition, DensityMatrix, flattening, seed_sequence
 
 RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
 _INITIAL_STEP = 0.5
 _VALUE_FLOOR = 1e-12     # objective is nonnegative; stop a restart at ~0
-SWEEP_MINOR_CAP = 1 << 24  # largest minor count one search sweep evaluates
+SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,10 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     Runs pattern descent over the QR-retracted K x r isometry from random
     starts (plus Z = I, the eigen-decomposition, as the initial incumbent)
     and reports the best decomposition average found. Deterministic for a
-    fixed seed: restart seeds come from fixed seed-sequence splitting, so
-    results do not depend on scheduling. Raises ConfigError before the search
-    if one sweep, 2 (2Kr) candidates x K rows, exceeds SWEEP_MINOR_CAP minors.
+    fixed seed (reduced mod 2^64): restart seeds come from fixed seed-sequence
+    splitting, so results do not depend on scheduling. Raises ConfigError before
+    the search if restarts x max_iters sweeps of 2 (2Kr) candidates x K rows
+    would evaluate more than SEARCH_MINOR_CAP minors.
     """
     cfg = config or RoofConfig()
     lam, vecs = _kept_eigs(rho)
@@ -168,9 +169,11 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     n_params = 2 * k * r
     rows = [math.prod(sizes[j] for j in c.swap_set) for c in enumerate_perm_classes(len(sizes))]
     sweep = 2 * n_params * k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows)
-    if sweep > SWEEP_MINOR_CAP:
-        raise ConfigError(f"one search sweep at ensemble size K={k} and rank {r} would "
-                          f"evaluate {sweep} > {SWEEP_MINOR_CAP} minors")
+    search = cfg.restarts * cfg.max_iters * sweep
+    if search > SEARCH_MINOR_CAP:
+        raise ConfigError(f"a search at ensemble size K={k} and rank {r} with {cfg.restarts} "
+                          f"restarts of {cfg.max_iters} iterations would evaluate {search} > "
+                          f"{SEARCH_MINOR_CAP} minors")
     w_rows = (vecs * np.sqrt(lam)).T                      # (r, d)
     ensemble_value = _ensemble_objective(sizes)
 
@@ -188,7 +191,7 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     theta_best = np.concatenate([np.eye(k, r).ravel(), np.zeros(k * r)])
     best = float(objective(theta_best[None])[0])
     trace, restart_bests = [best], []
-    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+    for seq in seed_sequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(seq)
         theta = rng.standard_normal(n_params)
         fval = float(objective(theta[None])[0])

@@ -177,6 +177,9 @@ def _pair_blocks(sizes: Sequence[int], budget: int):
     first, rest, budget = sizes[0], math.prod(n * (n - 1) for n in sizes[1:]), max(1, budget)
     step = max(1, budget // (first * rest))
     for x0 in range(0, first - 1, step):         # the first slot orders each pair
+        if (first - 1 - x0) * rest > budget:     # too many for one array: decode slices
+            yield from _split_pair_blocks(sizes, x0, budget)
+            continue
         r1, r2 = np.triu_indices(min(step, first - 1 - x0), x0 + 1, first)
         r1 = r1 + x0
         for n in sizes[1:]:
@@ -184,6 +187,21 @@ def _pair_blocks(sizes: Sequence[int], budget: int):
             r1, r2 = (r1[:, None] * n + x).ravel(), (r2[:, None] * n + y).ravel()
         for p0 in range(0, r1.size, budget):
             yield r1[p0:p0 + budget], r2[p0:p0 + budget]
+
+
+def _split_pair_blocks(sizes: Sequence[int], x0: int, budget: int):
+    """:func:`_pair_blocks`' pairs with first slot x0 < y0, in its order (y0 outermost,
+    then each later slot's ordered pair x != y, the last slot fastest), decoded from their
+    positions ``budget`` at a time."""
+    count = (sizes[0] - 1 - x0) * math.prod(n * (n - 1) for n in sizes[1:])
+    for p0 in range(0, count, budget):
+        t = np.arange(p0, min(p0 + budget, count))
+        r1, r2, place = np.zeros_like(t), np.zeros_like(t), 1
+        for n in reversed(sizes[1:]):
+            t, q = np.divmod(t, n * (n - 1))
+            x, y = np.divmod(q, n - 1)
+            r1, r2, place = r1 + x * place, r2 + (y + (y >= x)) * place, place * n
+        yield r1 + x0 * place, r2 + (x0 + 1 + t) * place
 
 
 def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
@@ -195,6 +213,22 @@ def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
     return g
 
 
+def _check_scan(sizes: Sequence[int], families: Sequence[tuple[int, ...]]) -> None:
+    """Refuse (DimensionError) a residual scan of more than RESIDUAL_SCAN_CAP minors."""
+    total = math.prod(sizes)
+    count = sum(math.prod(sizes[j] * (sizes[j] - 1) for j in rows) // 2
+                * math.comb(total // math.prod(sizes[j] for j in rows), 2) for rows in families)
+    if count > RESIDUAL_SCAN_CAP:
+        raise DimensionError(f"refusing to scan {count} > {RESIDUAL_SCAN_CAP} minors "
+                             f"for dims {tuple(sizes)}")
+
+
+def check_segre_scan(dims: DimsLike) -> None:
+    """Refuse up front dims whose :func:`segre_residual` scan exceeds RESIDUAL_SCAN_CAP."""
+    dims = as_dims(dims)
+    _check_scan(dims.sizes, [(j,) for j in range(dims.m)])
+
+
 def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     """(max |minor|, family index, a, b) over the flattenings of ``families``.
 
@@ -204,11 +238,7 @@ def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     over both orientations (M[r1,c1], M[r2,c2]), (M[r1,c2], M[r2,c1]) of each
     maximal minor."""
     sizes, total = state.dims.sizes, state.dims.total
-    count = sum(math.prod(sizes[j] * (sizes[j] - 1) for j in rows) // 2
-                * math.comb(total // math.prod(sizes[j] for j in rows), 2) for rows in families)
-    if count > RESIDUAL_SCAN_CAP:
-        raise DimensionError(f"refusing to scan {count} > {RESIDUAL_SCAN_CAP} minors "
-                             f"for dims {sizes}")
+    _check_scan(sizes, families)
     best, best_fam, best_key = -1.0, 0, 0
     for fam, rows in enumerate(families):
         mat, flat = (flattening(x, sizes, rows) for x in (state.amps, np.arange(total)))

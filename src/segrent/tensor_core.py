@@ -169,7 +169,7 @@ class DensityMatrix:
 
     @property
     def purity(self) -> float:
-        return float(np.real(np.sum(self.mat * self.mat.conj().T)))
+        return float(np.vdot(self.mat, self.mat).real)      # Tr rho^2 = sum |rho_ij|^2
 
 
 @dataclass(frozen=True)
@@ -331,9 +331,9 @@ def named_state(name: str, dims: DimsLike) -> BoxTensor:
     return BoxTensor(dims, amps)
 
 
-def _rng_for(seed: int) -> np.random.Generator:
-    # accept any 64-bit value, including negatives
-    return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+def seed_sequence(seed: int) -> np.random.SeedSequence:
+    """Seed sequence for any integer seed, negatives included, reduced mod 2^64."""
+    return np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
 def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -342,7 +342,7 @@ def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def product_factors(dims: DimsLike, seed: int) -> list[np.ndarray]:
     """Seeded unit factor vectors, one haar vector per party."""
-    rng = _rng_for(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     return [_haar(rng, n) for n in as_dims(dims).sizes]
 
 
@@ -361,7 +361,7 @@ def random_state(kind: str, dims: DimsLike, seed: int,
             f"unknown random kind {kind!r}; choose one of {RANDOM_KINDS}")
     if kind == "product":
         return segre_embed(product_factors(dims, seed))
-    rng = _rng_for(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     if kind == "haar-pure":
         return BoxTensor(dims, _haar(rng, dims.total))
     r = dims.total if rank is None else int(rank)

@@ -271,6 +271,60 @@ def test_roof_refused_by_sweep_size_up_front(tmp_path, capsys):
     assert "K=36 and rank 32" in err
 
 
+@pytest.mark.parametrize("rho,argv,fragment", [
+    (werner_state(0.5), ("--restarts", "100000000"), "100000000 restarts of 2000"),
+    (sg.random_state("mixed", (2,) * 4, seed=4), (), "K=20 and rank 16 with 8 restarts"),
+])
+def test_roof_refused_by_search_size_up_front(tmp_path, capsys, rho, argv, fragment):
+    path = tmp_path / "mixed.json"
+    cli.write_state_file(str(path), rho)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "roof", "--in", str(path), *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+
+
+def test_roof_seed_reduced_mod_2_64(tmp_path, capsys):
+    path = tmp_path / "werner.json"
+    cli.write_state_file(str(path), werner_state(0.5))
+    argv = ("roof", "--in", str(path), "--restarts", "2", "--ensemble", "4", "--seed")
+    negative = run_json(capsys, *argv, "-1")
+    assert negative["results"] == run_json(capsys, *argv, str(2 ** 64 - 1))["results"]
+
+
+def test_embed_refused_by_scan_count_up_front(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "embed", "--dims", ",".join(["2"] * 22))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "minors" in err
+
+
+@pytest.mark.parametrize("command,where", [("measure", "amps[1]"), ("roof", "rho[0][1]")])
+def test_integer_too_large_for_a_float_is_input_error(tmp_path, capsys, bell, command,
+                                                      where):
+    doc = cli.state_file_dict(bell if command == "measure" else bell.density())
+    entries = doc["amps"] if command == "measure" else doc["rho"][0]
+    entries[1] = [10 ** 400, 0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{where}: number too large for a float" in err
+
+
+def test_integer_with_too_many_digits_is_input_error(tmp_path, capsys, bell):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(cli.state_file_dict(bell)).replace("0.0", "1" * 5000, 1))
+    code, out, err = run_cli(capsys, "measure", "--in", str(path))
+    assert code == 2
+    assert out == ""
+
+
 def test_mixed_file_rejected_by_measure(tmp_path, capsys):
     path = tmp_path / "mixed.json"
     cli.write_state_file(str(path), werner_state(0.5))

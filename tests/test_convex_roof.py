@@ -190,14 +190,30 @@ def test_roof_refuses_oversized_sweep_up_front(monkeypatch):
     # 3 qubits at rank 3, K = 6: 2 * (2 K r) candidates x K rows x 18 minors
     rho = sg.random_state("mixed", (2, 2, 2), seed=1, rank=3)
     cfg = sg.RoofConfig(restarts=1, max_iters=1)
-    monkeypatch.setattr(convex_roof, "SWEEP_MINOR_CAP", 7776)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7776)
     sg.roof_F(rho, cfg)
-    monkeypatch.setattr(convex_roof, "SWEEP_MINOR_CAP", 7775)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7775)
     with pytest.raises(sg.ConfigError, match=r"K=6 and rank 3 .* 7776 > 7775"):
         sg.roof_F(rho, cfg)
     monkeypatch.undo()
     with pytest.raises(sg.ConfigError, match="K=36 and rank 32"):
         sg.roof_F(sg.random_state("mixed", (2,) * 5, seed=5), cfg)
+
+
+def test_roof_search_count_includes_restarts_and_iters(monkeypatch):
+    # the whole search is counted: restarts x iterations x 7776 minors a sweep
+    rho = sg.random_state("mixed", (2, 2, 2), seed=1, rank=3)
+    cfg = sg.RoofConfig(restarts=3, max_iters=5)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7776)
+    sg.roof_F(rho, cfg)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7776 - 1)
+    with pytest.raises(sg.ConfigError,
+                       match=r"K=6 and rank 3 with 3 restarts of 5 iterations .* 116640 > 116639"):
+        sg.roof_F(rho, cfg)
+    monkeypatch.undo()
+    # 4-qubit full rank passes one sweep but not 8 x 2000 of them
+    with pytest.raises(sg.ConfigError, match="K=20 and rank 16 with 8 restarts of 2000"):
+        sg.roof_F(sg.random_state("mixed", (2,) * 4, seed=4), sg.RoofConfig())
 
 
 def test_roof_notes_mention_size_cap():

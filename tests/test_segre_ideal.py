@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,24 @@ def test_block_streaming_matches_single_block(monkeypatch):
             assert (a.residual, a.worst) == (b.residual, b.worst)
         sums_chunked = segre_ideal.slot_generator_sums(st)
         assert np.max(np.abs(sums_whole - sums_chunked)) <= 1e-13
+
+
+def test_lopsided_scan_memory_does_not_grow(monkeypatch):
+    # (2, N, 2): class {0, 1} has N (N - 1) row pairs for one first-slot value
+    peaks = []
+    for n in (500, 2000):
+        st = sg.random_state("haar-pure", (2, n, 2), seed=3)
+        whole = sg.t_variety_residual(st)
+        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 1 << 16)
+        tracemalloc.start()
+        try:
+            blocked = sg.t_variety_residual(st)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert (blocked.residual, blocked.worst) == (whole.residual, whole.worst)
+    assert peaks[1] - peaks[0] < 3e6
 
 
 def test_residual_scan_refused_up_front(monkeypatch):

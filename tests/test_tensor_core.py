@@ -281,6 +281,15 @@ def test_density_from_state(bell):
     assert rho.purity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_purity_of_complex_states():
+    pure = sg.random_state("haar-pure", (2, 2), seed=1).density()
+    mixed = sg.random_state("mixed", (2, 3), seed=4, rank=3)
+    for rho in (pure, mixed):
+        assert rho.purity == pytest.approx(np.sum(np.abs(rho.mat) ** 2), abs=1e-14)
+    assert pure.purity == pytest.approx(1.0, abs=1e-12)
+    assert mixed.purity < 1.0 - 1e-3
+
+
 def test_density_refuses_non_unit_state():
     # same policy as the measures: no silent rescaling before the roof
     with pytest.raises(sg.NormalizationError, match="unit-norm"):
