@@ -19,12 +19,13 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .convex_roof import RoofConfig, roof_F
+from .convex_roof import RoofConfig, check_roof_dims, roof_F
 from .errors import ConfigError, SegrentError, StateFileError
 from .measures import MeasureConfig, measure_E, measure_F
 from .segre_ideal import (
     MinorSpec,
     check_partition_commutativity,
+    check_residual_scans,
     check_segre_scan,
     enumerate_segre_generators,
     segre_residual,
@@ -61,9 +62,14 @@ def state_file_dict(obj) -> dict:
     return doc
 
 
-def _complex_entry(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+def _entries(value, shape: tuple[int, ...], where: str):
+    """``value`` as nested lists of ``shape`` whose entries are [re, im] number pairs."""
+    if shape:
+        if not isinstance(value, list) or len(value) != shape[0]:
+            raise StateFileError(f"{where} must be a list of {shape[0]} entries")
+        return [_entries(v, shape[1:], f"{where}[{i}]") for i, v in enumerate(value)]
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(type(x) in (int, float) for x in value)):    # bool is not a number
         raise StateFileError(f"{where}: expected a [re, im] number pair, got {value!r}")
     try:
         return complex(value[0], value[1])
@@ -80,35 +86,20 @@ def parse_state_file(doc: dict, where: str = "state file"):
             raise StateFileError(f"{where}: missing required field {field!r}")
     if doc["layout"] != "row-major":
         raise StateFileError(f"{where}: field 'layout' must be \"row-major\"")
-    if doc["index_base"] != 0:
+    if type(doc["index_base"]) not in (int, float) or doc["index_base"] != 0:
         raise StateFileError(f"{where}: field 'index_base' must be 0")
     dims_raw = doc["dims"]
     if (not isinstance(dims_raw, list) or not dims_raw
-            or not all(isinstance(n, int) for n in dims_raw)):
+            or not all(type(n) is int for n in dims_raw)):
         raise StateFileError(f"{where}: field 'dims' must be a list of integers")
     dims = Dims(tuple(dims_raw))
     has_amps, has_rho = "amps" in doc, "rho" in doc
     if has_amps == has_rho:
         raise StateFileError(f"{where}: exactly one of 'amps' or 'rho' is required")
-    if has_amps:
-        amps = doc["amps"]
-        if not isinstance(amps, list) or len(amps) != dims.total:
-            raise StateFileError(
-                f"{where}: 'amps' must list {dims.total} entries for dims "
-                f"{dims.sizes}, got {len(amps) if isinstance(amps, list) else amps!r}")
-        vec = [_complex_entry(v, f"{where}: amps[{i}]") for i, v in enumerate(amps)]
-        return BoxTensor(dims, vec)
-    rho = doc["rho"]
     d = dims.total
-    if not isinstance(rho, list) or len(rho) != d:
-        raise StateFileError(f"{where}: 'rho' must have {d} rows for dims {dims.sizes}")
-    mat = np.zeros((d, d), dtype=complex)
-    for i, row in enumerate(rho):
-        if not isinstance(row, list) or len(row) != d:
-            raise StateFileError(f"{where}: rho[{i}] must have {d} entries")
-        for j, v in enumerate(row):
-            mat[i, j] = _complex_entry(v, f"{where}: rho[{i}][{j}]")
-    return DensityMatrix(dims, mat)
+    if has_amps:
+        return BoxTensor(dims, _entries(doc["amps"], (d,), f"{where}: amps"))
+    return DensityMatrix(dims, _entries(doc["rho"], (d, d), f"{where}: rho"))
 
 
 def read_state_file(path: str):
@@ -213,11 +204,11 @@ def _cmd_separable(args, argv) -> dict:
     state = _require_pure(state, args.infile)
     if not 0.0 <= args.tol < np.inf:
         raise ConfigError(f"tol must be a finite number >= 0, got {args.tol!r}")
-    t_variety = t_variety_residual(state, args.tol)   # the larger scan from 4 qubits: refuses first
+    check_residual_scans(state.dims)
     results = {
         "tolerance": args.tol,
         "segre": _membership_dict(segre_residual(state, args.tol)),
-        "t_variety": _membership_dict(t_variety),
+        "t_variety": _membership_dict(t_variety_residual(state, args.tol)),
     }
     return _envelope("separable", argv, results,
                      _input_info(args.infile, digest, state), {"tolerance": args.tol})
@@ -237,6 +228,7 @@ def _cmd_generators(args, argv) -> dict:
 
 def _cmd_roof(args, argv) -> dict:
     state, digest = read_state_file(args.infile)
+    check_roof_dims(state.dims)     # before density() builds and diagonalizes a d x d matrix
     rho = state.density() if isinstance(state, BoxTensor) else state
     cfg = RoofConfig(ensemble_size=args.ensemble, restarts=args.restarts,
                      max_iters=args.iters, seed=args.seed)
@@ -289,8 +281,6 @@ def _dims_arg(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"dims must be comma-separated integers, got {text!r}")
-    if not parts:
-        raise argparse.ArgumentTypeError("dims must not be empty")
     return parts
 
 

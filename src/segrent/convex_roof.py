@@ -13,7 +13,8 @@ a certified upper bound on the infimum.
 The search objective evaluates every candidate decomposition at once
 from the 2x2 minors (:func:`segrent.segre_ideal.minors`, the residuals'
 kernel) of the batched flattenings M_S of its rows. A search whose restarts
-x sweeps would evaluate more than SEARCH_MINOR_CAP minors is refused up front.
+x sweeps would evaluate more than SEARCH_MINOR_CAP minors is refused up front, and so
+is a state of total dimension above ROOF_DIM_CAP, before rho is diagonalized.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ import numpy as np
 from .errors import ConfigError, DimensionError, IsometryError
 from .measures import DEFAULT_NORM_F, measure_F
 from .segre_ideal import enumerate_perm_classes, minors
-from .tensor_core import BoxTensor, Decomposition, DensityMatrix, flattening, seed_sequence
+from .tensor_core import (BoxTensor, Decomposition, DensityMatrix, DimsLike, as_dims,
+                          flattening, seed_sequence)
 
 RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
 _INITIAL_STEP = 0.5
 _VALUE_FLOOR = 1e-12     # objective is nonnegative; stop a restart at ~0
 SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate
+ROOF_DIM_CAP = 1 << 11      # largest total dimension d whose d x d rho is diagonalized
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,14 @@ class RoofEstimate:
     trace: tuple[float, ...]
     restart_bests: tuple[float, ...]
     notes: tuple[str, ...] = ()
+
+
+def check_roof_dims(dims: DimsLike) -> None:
+    """Refuse (DimensionError) dims of total dimension above ROOF_DIM_CAP."""
+    total = as_dims(dims).total
+    if total > ROOF_DIM_CAP:
+        raise DimensionError(f"refusing a convex roof over total dimension {total} > "
+                             f"{ROOF_DIM_CAP}")
 
 
 def _kept_eigs(rho: DensityMatrix):
@@ -147,8 +158,10 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     fixed seed (reduced mod 2^64): restart seeds come from fixed seed-sequence
     splitting, so results do not depend on scheduling. Raises ConfigError before
     the search if restarts x max_iters sweeps of 2 (2Kr) candidates x K rows
-    would evaluate more than SEARCH_MINOR_CAP minors.
+    would evaluate more than SEARCH_MINOR_CAP minors, and raises DimensionError before
+    rho is diagonalized if its total dimension exceeds ROOF_DIM_CAP.
     """
+    check_roof_dims(rho.dims)
     cfg = config or RoofConfig()
     lam, vecs = _kept_eigs(rho)
     r = lam.size

@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .errors import ConfigError, DimensionError
-from .segre_ideal import PermClass, class_generator_sums, slot_generator_sums
+from .segre_ideal import (PermClass, class_generator_sums, enumerate_perm_classes,
+                          slot_generator_sums)
 from .tensor_core import BoxTensor, reduced_purity, require_normalized
 
 DEFAULT_NORM_E = 1.0
 DEFAULT_NORM_F = 2.0
+MEASURE_WORK_CAP = 1 << 34   # largest sum_S R_S C_S min(R_S, C_S) of one measure's SVDs
 
 _NOTE_SINGLE_PARTY = "single-party state: no quadratic generators, value is 0"
 _NOTE_MANY_PARTIES = ("slot-generator sum for m >= 4: certifies full separability "
@@ -57,14 +59,21 @@ class MeasureReport:
 
 
 def _measure(state: BoxTensor, config: MeasureConfig | None, default_norm: float,
-             family, notes: tuple[str, ...] = ()) -> MeasureReport:
-    """Shared body; ``family(state)`` gives (keys, per-family sums)."""
+             family, slot_sets, notes: tuple[str, ...] = ()) -> MeasureReport:
+    """Shared body; ``family(state)`` gives (keys, per-family sums) from the SVDs of the
+    R_S x C_S flattenings M_S, S in ``slot_sets``, refused above MEASURE_WORK_CAP first."""
     cfg = config or MeasureConfig()
     norm = default_norm if cfg.normalization is None else cfg.normalization
     require_normalized(state)
     if state.dims.m < 2:
         keys, sums, notes = [], [], (_NOTE_SINGLE_PARTY,)
     else:
+        sizes, total = state.dims.sizes, state.dims.total
+        work = sum(r * (total // r) * min(r, total // r)
+                   for r in (math.prod(sizes[j] for j in s) for s in slot_sets))
+        if work > MEASURE_WORK_CAP:
+            raise DimensionError(f"refusing a measure whose SVDs cost {work} > "
+                                 f"{MEASURE_WORK_CAP} for dims {sizes}")
         keys, sums = family(state)
     sum_sq = math.fsum(float(p) for p in sums)
     per_class = dict(zip(keys, (float(p) for p in sums))) if cfg.include_breakdown else None
@@ -80,7 +89,7 @@ def measure_E(state: BoxTensor, config: MeasureConfig | None = None) -> MeasureR
     m = state.dims.m
     return _measure(state, config, DEFAULT_NORM_E,
                     lambda st: (range(m), slot_generator_sums(st)),
-                    (_NOTE_MANY_PARTIES,) if m >= 4 else ())
+                    [(j,) for j in range(m)], (_NOTE_MANY_PARTIES,) if m >= 4 else ())
 
 
 def measure_F(state: BoxTensor, config: MeasureConfig | None = None) -> MeasureReport:
@@ -90,7 +99,8 @@ def measure_F(state: BoxTensor, config: MeasureConfig | None = None) -> MeasureR
     complement pair) over all unordered index pairs. Default N = 2 so the
     bipartite value matches :func:`measure_E`.
     """
-    return _measure(state, config, DEFAULT_NORM_F, class_generator_sums)
+    return _measure(state, config, DEFAULT_NORM_F, class_generator_sums,
+                    [c.swap_set for c in enumerate_perm_classes(state.dims.m)])
 
 
 def bipartite_concurrence_oracle(state: BoxTensor) -> float:

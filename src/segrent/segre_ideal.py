@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, GeneratorSpecError, PartitionError
-from .tensor_core import (BoxTensor, DimsLike, as_dims, check_multi_index, flattening,
-                          multi_index, segre_embed)
+from .tensor_core import (BoxTensor, DimsLike, as_dims, check_multi_index, check_subset,
+                          flattening, multi_index, segre_embed)
 
 MATERIALIZE_CAP = 200_000    # largest slot-generator count for which lists are built
 RESIDUAL_SCAN_CAP = 1 << 30  # largest minor count one residual scans
@@ -147,11 +147,8 @@ def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
     can both be evaluated, e.g. to check that they agree).
     """
     dims = state.dims
-    slots = (swap if isinstance(swap, PermClass) else PermClass(swap)).swap_set
-    if slots[-1] >= dims.m:
-        raise GeneratorSpecError(f"swap set {slots} out of range for dims {dims.sizes}")
-    if len(slots) >= dims.m:
-        raise GeneratorSpecError("swap set must be a proper subset of the slots")
+    slots = check_subset(swap.swap_set if isinstance(swap, PermClass) else swap, dims.m,
+                         GeneratorSpecError, "swap set")
     k, l = pair
     k, l = (check_multi_index(t, dims, GeneratorSpecError, s) for t, s in ((k, "k"), (l, "l")))
     if k == l:
@@ -227,6 +224,14 @@ def check_segre_scan(dims: DimsLike) -> None:
     """Refuse up front dims whose :func:`segre_residual` scan exceeds RESIDUAL_SCAN_CAP."""
     dims = as_dims(dims)
     _check_scan(dims.sizes, [(j,) for j in range(dims.m)])
+
+
+def check_residual_scans(dims: DimsLike) -> None:
+    """Refuse up front dims whose :func:`segre_residual` or :func:`t_variety_residual`
+    scan exceeds RESIDUAL_SCAN_CAP, so neither runs when either would be refused."""
+    dims = as_dims(dims)
+    _check_scan(dims.sizes, [c.swap_set for c in enumerate_perm_classes(dims.m)])
+    check_segre_scan(dims)
 
 
 def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
@@ -314,8 +319,6 @@ def check_partition_commutativity(factors: Sequence[Sequence[complex]],
     """
     m = len(factors)
     split = int(split)
-    if m < 2:
-        raise PartitionError("need at least two factors to partition")
     if not 1 <= split < m:
         raise PartitionError(f"split must satisfy 1 <= split < {m}, got {split}")
     direct = segre_embed(factors)

@@ -236,6 +236,15 @@ def check_multi_index(multi: Sequence[int], dims: Dims, error, label: str) -> tu
     return multi
 
 
+def check_subset(subset: Iterable[int], m: int, error, label: str) -> tuple[int, ...]:
+    """``subset`` sorted and deduplicated; raises exception class ``error`` naming ``label``
+    unless it is a nonempty proper subset of range(m)."""
+    subset = tuple(sorted({int(j) for j in subset}))
+    if not (0 < len(subset) < m and 0 <= subset[0] and subset[-1] < m):
+        raise error(f"{label} {list(subset)} is not a nonempty proper subset of range({m})")
+    return subset
+
+
 def flat_index(multi: Sequence[int], dims: DimsLike) -> int:
     """Row-major offset of a multi-index (last slot fastest)."""
     dims = as_dims(dims)
@@ -258,18 +267,12 @@ def segre_embed(factors: Sequence[Sequence[complex]]) -> BoxTensor:
     The output amplitude at (i_1, ..., i_m) is the product of the factor
     entries factor_j[i_j]; it is unit-norm whenever every factor is.
     """
-    if len(factors) < 1:
-        raise DimensionError("need at least one factor vector")
-    arrs = []
-    for j, f in enumerate(factors):
-        v = np.asarray(f, dtype=complex).reshape(-1)
-        if v.size < 2:
-            raise DimensionError(f"factor {j} has length {v.size}, need >= 2")
+    arrs = [np.asarray(f, dtype=complex).reshape(-1) for f in factors]
+    dims = Dims(tuple(v.size for v in arrs))
+    for j, v in enumerate(arrs):
         if not np.any(v):
             raise DegenerateStateError(f"factor {j} is the zero vector")
-        arrs.append(v)
-    out = reduce(np.multiply.outer, arrs)
-    return BoxTensor(Dims(tuple(v.size for v in arrs)), out.reshape(-1))
+    return BoxTensor(dims, reduce(np.multiply.outer, arrs).reshape(-1))
 
 
 def flattening(amps: np.ndarray, sizes: Sequence[int],
@@ -293,12 +296,7 @@ def reduced_purity(state: BoxTensor, parties: Iterable[int]) -> float:
     The subset must be a nonempty proper subset of the slots. For a pure
     input the result equals the purity of the complementary subset.
     """
-    m = state.dims.m
-    keep = sorted({int(p) for p in parties})
-    if any(p < 0 or p >= m for p in keep):
-        raise PartitionError(f"party subset {keep} out of range for m={m}")
-    if not keep or len(keep) == m:
-        raise PartitionError("party subset must be nonempty and proper")
+    keep = check_subset(parties, state.dims.m, PartitionError, "party subset")
     mat = flattening(state.amps, state.dims.sizes, keep)
     gram = mat @ mat.conj().T
     return float(np.real(np.sum(gram * gram.conj())))
@@ -368,8 +366,5 @@ def random_state(kind: str, dims: DimsLike, seed: int,
     if r < 1:
         raise DimensionError(f"mixed-state rank must be >= 1, got {r}")
     weights = rng.dirichlet(np.ones(r))
-    acc = np.zeros((dims.total, dims.total), dtype=complex)
-    for w in weights:
-        psi = _haar(rng, dims.total)
-        acc += w * np.outer(psi, psi.conj())
-    return DensityMatrix(dims, acc)
+    states = [BoxTensor(dims, _haar(rng, dims.total)) for _ in weights]
+    return Decomposition(weights, states).mixture()

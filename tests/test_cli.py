@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import segrent as sg
-from segrent import cli
+from segrent import cli, convex_roof, segre_ideal
 
 from conftest import werner_state
 
@@ -198,6 +198,24 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("mutate,where", [
+    (lambda d: d["amps"].__setitem__(0, [True, False]), "amps[0]"),
+    (lambda d: d["rho"][0].__setitem__(0, [True, False]), "rho[0][0]"),
+    (lambda d: d.update(index_base=False), "index_base"),
+])
+def test_boolean_is_not_a_number(tmp_path, capsys, mutate, where):
+    # each file reads as the valid basis product state if true and false count as 1 and 0
+    state = sg.named_state("basis-product", (2, 2))
+    doc = cli.state_file_dict(state.density() if "rho" in where else state)
+    mutate(doc)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    command = "roof" if "rho" in where else "measure"
+    code, out, err = run_cli(capsys, command, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert where in err
+
+
 def test_dims_length_mismatch_is_input_error(tmp_path, capsys, bell):
     doc = cli.state_file_dict(bell)
     doc["dims"] = [2, 3]
@@ -258,6 +276,46 @@ def test_separable_refused_by_scan_count_up_front(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "minors" in err
+
+
+def test_separable_counts_both_scans_before_either_runs(tmp_path, capsys, monkeypatch,
+                                                      ghz3):
+    # on (2, 2, 2) the t-variety scan has 14 minors and the Segre scan 18
+    monkeypatch.setattr(segre_ideal, "RESIDUAL_SCAN_CAP", 14)
+    calls = []
+    kernel = segre_ideal.minors
+    monkeypatch.setattr(segre_ideal, "minors", lambda *a: calls.append(1) or kernel(*a))
+    path = tmp_path / "ghz.json"
+    cli.write_state_file(str(path), ghz3)
+    code, out, err = run_cli(capsys, "separable", "--in", str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert "18 > 14 minors" in err
+    sg.t_variety_residual(ghz3)       # its own count is within the cap
+    assert calls
+
+
+def test_roof_refused_by_dimension_up_front(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "q12.json"
+    cli.write_state_file(str(path), sg.random_state("haar-pure", (2,) * 12, seed=12))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "roof", "--in", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "4096 > 2048" in err
+    monkeypatch.setattr(convex_roof, "ROOF_DIM_CAP", 3)
+    monkeypatch.setattr(convex_roof, "_kept_eigs", None)     # not reached
+    with pytest.raises(sg.DimensionError, match="4 > 3"):
+        sg.roof_F(werner_state(0.5))
+
+
+def test_measure_refused_by_work_up_front(tmp_path, capsys):
+    path = tmp_path / "q15.json"
+    cli.write_state_file(str(path), sg.random_state("haar-pure", (2,) * 15, seed=15))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "measure", "--in", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "41485139968 > 17179869184" in err
 
 
 def test_roof_refused_by_sweep_size_up_front(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import segrent as sg
+from segrent import measures
 
 import oracles
 
@@ -219,6 +220,23 @@ def test_four_party_note_on_slot_measure():
     assert any("separability" in n for n in sg.measure_E(st).notes)
     assert sg.measure_F(st).notes == ()
     assert sg.measure_E(sg.named_state("ghz", (2, 2, 2))).notes == ()
+
+
+def test_measures_refused_by_work_up_front(ghz3, monkeypatch):
+    # each of the three (2 x 4 or 4 x 2) flattenings costs 2 * 4 * 2 = 16
+    calls = []
+    for name in ("slot_generator_sums", "class_generator_sums"):
+        sums = getattr(measures, name)
+        monkeypatch.setattr(measures, name,
+                            lambda st, sums=sums: calls.append(1) or sums(st))
+    monkeypatch.setattr(measures, "MEASURE_WORK_CAP", 47)
+    for measure in (sg.measure_E, sg.measure_F):
+        with pytest.raises(sg.DimensionError, match="48 > 47"):
+            measure(ghz3)
+    assert calls == []
+    monkeypatch.setattr(measures, "MEASURE_WORK_CAP", 48)
+    sg.measure_E(ghz3), sg.measure_F(ghz3)
+    assert len(calls) == 2
 
 
 def test_large_system_extended_precision_path():

@@ -152,6 +152,8 @@ def test_perm_minor_rejects_bad_swaps(ghz3):
     with pytest.raises(sg.GeneratorSpecError):
         sg.evaluate_perm_minor(ghz3, (5,), ((0, 0, 0), (1, 1, 1)))
     with pytest.raises(sg.GeneratorSpecError):
+        sg.evaluate_perm_minor(ghz3, (-1, 0), ((0, 0, 0), (1, 1, 1)))
+    with pytest.raises(sg.GeneratorSpecError):
         sg.evaluate_perm_minor(ghz3, (0,), ((0, 0, 0), (0, 0, 0)))
 
 

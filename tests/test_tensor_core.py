@@ -128,6 +128,12 @@ def test_segre_embed_zero_factor():
         sg.segre_embed([(1, 0), (0, 0)])
 
 
+@pytest.mark.parametrize("factors", [[], [(1,), (1, 0)]])
+def test_segre_embed_bad_factor_shapes(factors):
+    with pytest.raises(sg.DimensionError):
+        sg.segre_embed(factors)
+
+
 def test_segre_embed_output_is_rank_one():
     st = sg.random_state("product", (2, 2, 3), seed=5)
     assert sg.segre_residual(st).residual <= 1e-12
@@ -175,6 +181,8 @@ def test_reduced_purity_bad_subsets(bell):
         sg.reduced_purity(bell, [0, 1])
     with pytest.raises(sg.PartitionError):
         sg.reduced_purity(bell, [3])
+    with pytest.raises(sg.PartitionError):
+        sg.reduced_purity(bell, [-1])
 
 
 # ---------------------------------------------------------------- named states
