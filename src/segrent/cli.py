@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .convex_roof import RoofConfig, check_roof_dims, roof_F
-from .errors import ConfigError, SegrentError, StateFileError
+from .errors import ConfigError, DimensionError, SegrentError, StateFileError
 from .measures import MeasureConfig, measure_E, measure_F
 from .segre_ideal import (
     MinorSpec,
@@ -44,6 +44,7 @@ from .tensor_core import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+AMPLITUDE_CAP = 1 << 20     # largest state that gen-state and embed build from --dims
 
 
 # ---------------------------------------------------------------- state files
@@ -171,6 +172,12 @@ def _membership_dict(report) -> dict:
     }
 
 
+def _check_amplitudes(dims: Dims) -> None:
+    if dims.total > AMPLITUDE_CAP:
+        raise DimensionError(f"refusing to build a state of {dims.total} > {AMPLITUDE_CAP} "
+                             f"amplitudes for dims {dims.sizes}")
+
+
 def _require_pure(state, path: str) -> BoxTensor:
     if not isinstance(state, BoxTensor):
         raise StateFileError(f"{path}: this command needs a pure state ('amps')")
@@ -249,6 +256,7 @@ def _cmd_roof(args, argv) -> dict:
 def _cmd_embed(args, argv) -> dict:
     dims = Dims(args.dims)
     check_segre_scan(dims)     # before the state is built once plus twice per split
+    _check_amplitudes(dims)    # binds only for one party, which has no Segre scan
     factors = product_factors(dims, args.seed)
     state = segre_embed(factors)
     splits = [args.split] if args.split is not None else list(range(1, dims.m))
@@ -266,7 +274,9 @@ def _cmd_embed(args, argv) -> dict:
 
 
 def _cmd_gen_state(args, argv) -> dict:
-    state = named_state(args.name, Dims(args.dims))
+    dims = Dims(args.dims)
+    _check_amplitudes(dims)
+    state = named_state(args.name, dims)
     doc = state_file_dict(state)
     if args.out:
         write_state_file(args.out, state)

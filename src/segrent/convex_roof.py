@@ -114,11 +114,14 @@ def ensemble_from_isometry(rho: DensityMatrix, v) -> Decomposition:
     gram = v.conj().T @ v
     if float(np.max(np.abs(gram - np.eye(r)))) > 1e-10:
         raise IsometryError("columns are not orthonormal within 1e-10")
-    phi = v @ (vecs * np.sqrt(lam)).T                       # (K, d)
+    return _rows_decomposition(rho.dims, v @ (vecs * np.sqrt(lam)).T)
+
+
+def _rows_decomposition(dims, phi: np.ndarray) -> Decomposition:
+    """Decomposition of the (K, d) rows phi_k, weights |phi_k|^2 above WEIGHT_FLOOR."""
     weights = np.einsum("kd,kd->k", phi, phi.conj()).real
     kept = weights > WEIGHT_FLOOR
-    states = tuple(BoxTensor(rho.dims, phi[k] / math.sqrt(weights[k]))
-                   for k in np.flatnonzero(kept))
+    states = tuple(BoxTensor(dims, phi[k] / math.sqrt(weights[k])) for k in np.flatnonzero(kept))
     return Decomposition(tuple(float(w) for w in weights[kept]), states)
 
 
@@ -163,79 +166,73 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     """
     check_roof_dims(rho.dims)
     cfg = config or RoofConfig()
-    lam, vecs = _kept_eigs(rho)
-    r = lam.size
+    dec = eigen_ensemble(rho)
+    r = len(dec.weights)
     k = min(2 * r, r + 4) if cfg.ensemble_size is None else int(cfg.ensemble_size)
     if k < r:
         raise ConfigError(f"ensemble_size {k} is below the state rank {r}")
     notes = (f"ensemble size capped at K={k}; the infimum ranges over "
              "all decomposition sizes", )
+    trace, restart_bests = [], []
+    if r > 1:     # else every decomposition of a pure state repeats it up to phase
+        sizes, total = rho.dims.sizes, rho.dims.total
+        n_params = 2 * k * r
+        rows = [math.prod(sizes[j] for j in c.swap_set)
+                for c in enumerate_perm_classes(len(sizes))]
+        sweep = 2 * n_params * k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows)
+        search = cfg.restarts * cfg.max_iters * sweep
+        if search > SEARCH_MINOR_CAP:
+            raise ConfigError(f"a search at ensemble size K={k} and rank {r} with {cfg.restarts} "
+                              f"restarts of {cfg.max_iters} iterations would evaluate {search} > "
+                              f"{SEARCH_MINOR_CAP} minors")
+        w_rows = np.sqrt(dec.weights)[:, None] * np.array([s.amps for s in dec.states])
+        ensemble_value = _ensemble_objective(sizes)
 
-    if r == 1:
-        # every decomposition of a pure state repeats it up to phase
-        dec = eigen_ensemble(rho)
-        value = float(math.fsum(w * measure_F(s).value
-                                for w, s in zip(dec.weights, dec.states)))
-        return RoofEstimate(value, dec, (value,), (), notes)
+        def isometries(thetas: np.ndarray) -> np.ndarray:
+            # rows hold Re Z then Im Z; V = Q diag(phase(diag R)) of Z = QR is
+            # continuous in Z, and Z = I gives V = I
+            z = (thetas[:, :k * r] + 1j * thetas[:, k * r:]).reshape(-1, k, r)
+            q, rr = np.linalg.qr(z)
+            d = np.diagonal(rr, axis1=-2, axis2=-1)
+            return q * (d / np.abs(d))[:, None, :]
 
-    sizes, total = rho.dims.sizes, rho.dims.total
-    n_params = 2 * k * r
-    rows = [math.prod(sizes[j] for j in c.swap_set) for c in enumerate_perm_classes(len(sizes))]
-    sweep = 2 * n_params * k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows)
-    search = cfg.restarts * cfg.max_iters * sweep
-    if search > SEARCH_MINOR_CAP:
-        raise ConfigError(f"a search at ensemble size K={k} and rank {r} with {cfg.restarts} "
-                          f"restarts of {cfg.max_iters} iterations would evaluate {search} > "
-                          f"{SEARCH_MINOR_CAP} minors")
-    w_rows = (vecs * np.sqrt(lam)).T                      # (r, d)
-    ensemble_value = _ensemble_objective(sizes)
+        def objective(thetas: np.ndarray) -> np.ndarray:
+            return ensemble_value(isometries(thetas) @ w_rows)
 
-    def isometries(thetas: np.ndarray) -> np.ndarray:
-        # rows hold Re Z then Im Z; V = Q diag(phase(diag R)) of Z = QR is
-        # continuous in Z, and Z = I gives V = I
-        z = (thetas[:, :k * r] + 1j * thetas[:, k * r:]).reshape(-1, k, r)
-        q, rr = np.linalg.qr(z)
-        d = np.diagonal(rr, axis1=-2, axis2=-1)
-        return q * (d / np.abs(d))[:, None, :]
+        theta_best = np.concatenate([np.eye(k, r).ravel(), np.zeros(k * r)])
+        best = float(objective(theta_best[None])[0])
+        trace.append(best)
+        for seq in seed_sequence(cfg.seed).spawn(cfg.restarts):
+            rng = np.random.default_rng(seq)
+            theta = rng.standard_normal(n_params)
+            fval = float(objective(theta[None])[0])
+            step, iters = _INITIAL_STEP, 0
+            while iters < cfg.max_iters and step > cfg.step_tolerance \
+                    and fval > _VALUE_FLOOR:
+                # fresh orthonormal poll directions each sweep: axis-aligned
+                # polls stall on the |.|-kinks of the objective
+                directions, _ = np.linalg.qr(rng.standard_normal((n_params, n_params)))
+                cand = np.concatenate([theta + step * directions.T,
+                                       theta - step * directions.T])
+                vals = objective(cand)
+                pick = int(np.argmin(vals))
+                if vals[pick] < fval:
+                    theta = cand[pick]
+                    fval = float(vals[pick])
+                    step = min(step * 2.0, _INITIAL_STEP)
+                else:
+                    step *= 0.5
+                iters += 1
+                if fval < best:
+                    best = fval
+                    theta_best = theta
+                trace.append(best)
+            restart_bests.append(fval)
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        return ensemble_value(isometries(thetas) @ w_rows)
-
-    theta_best = np.concatenate([np.eye(k, r).ravel(), np.zeros(k * r)])
-    best = float(objective(theta_best[None])[0])
-    trace, restart_bests = [best], []
-    for seq in seed_sequence(cfg.seed).spawn(cfg.restarts):
-        rng = np.random.default_rng(seq)
-        theta = rng.standard_normal(n_params)
-        fval = float(objective(theta[None])[0])
-        step, iters = _INITIAL_STEP, 0
-        while iters < cfg.max_iters and step > cfg.step_tolerance \
-                and fval > _VALUE_FLOOR:
-            # fresh orthonormal poll directions each sweep: axis-aligned
-            # polls stall on the |.|-kinks of the objective
-            directions, _ = np.linalg.qr(rng.standard_normal((n_params, n_params)))
-            cand = np.concatenate([theta + step * directions.T,
-                                   theta - step * directions.T])
-            vals = objective(cand)
-            pick = int(np.argmin(vals))
-            if vals[pick] < fval:
-                theta = cand[pick]
-                fval = float(vals[pick])
-                step = min(step * 2.0, _INITIAL_STEP)
-            else:
-                step *= 0.5
-            iters += 1
-            if fval < best:
-                best = fval
-                theta_best = theta
-            trace.append(best)
-        restart_bests.append(fval)
-
-    v_best = isometries(theta_best[None])[0]
-    dec = ensemble_from_isometry(rho, v_best)
+        dec = _rows_decomposition(rho.dims, isometries(theta_best[None])[0] @ w_rows)
     value = float(math.fsum(w * measure_F(s).value
                             for w, s in zip(dec.weights, dec.states)))
-    return RoofEstimate(value, dec, tuple(trace), tuple(restart_bests), notes)
+    return RoofEstimate(value, dec, tuple(trace) or (value,), tuple(restart_bests), notes)
 
 
 def wootters_oracle(rho: DensityMatrix) -> float:

@@ -76,8 +76,11 @@ def _measure(state: BoxTensor, config: MeasureConfig | None, default_norm: float
                                  f"{MEASURE_WORK_CAP} for dims {sizes}")
         keys, sums = family(state)
     sum_sq = math.fsum(float(p) for p in sums)
+    value = math.sqrt(norm * sum_sq)
+    if not math.isfinite(value):
+        raise ConfigError(f"normalization {norm} overflows the measure value")
     per_class = dict(zip(keys, (float(p) for p in sums))) if cfg.include_breakdown else None
-    return MeasureReport(math.sqrt(norm * sum_sq), sum_sq, norm, per_class, notes)
+    return MeasureReport(value, sum_sq, norm, per_class, notes)
 
 
 def measure_E(state: BoxTensor, config: MeasureConfig | None = None) -> MeasureReport:

@@ -94,6 +94,8 @@ def iter_segre_generators(dims: DimsLike) -> Iterator[MinorSpec]:
     because their generator is identically zero.
     """
     dims = as_dims(dims)
+    if dims.m < 2:          # one party has no generators; skip its N^2 / 2 pairs
+        return
     indices = list(itertools.product(*[range(n) for n in dims.sizes]))
     for j in range(dims.m):
         for a, k in enumerate(indices):
@@ -169,36 +171,32 @@ def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
     return float(2.0 * np.dot(x[:-1], tail[1:]))
 
 
-def _pair_blocks(sizes: Sequence[int], budget: int):
-    """Blocks of at most ``budget`` pairs r1 < r2 of multi-indices differing in every slot."""
-    first, rest, budget = sizes[0], math.prod(n * (n - 1) for n in sizes[1:]), max(1, budget)
-    step = max(1, budget // (first * rest))
-    for x0 in range(0, first - 1, step):         # the first slot orders each pair
-        if (first - 1 - x0) * rest > budget:     # too many for one array: decode slices
-            yield from _split_pair_blocks(sizes, x0, budget)
-            continue
-        r1, r2 = np.triu_indices(min(step, first - 1 - x0), x0 + 1, first)
-        r1 = r1 + x0
-        for n in sizes[1:]:
-            x, y = np.nonzero(~np.eye(n, dtype=bool))
-            r1, r2 = (r1[:, None] * n + x).ravel(), (r2[:, None] * n + y).ravel()
-        for p0 in range(0, r1.size, budget):
-            yield r1[p0:p0 + budget], r2[p0:p0 + budget]
+def _row_pairs(sizes: Sequence[int], budget: int):
+    """Blocks of at most ``budget`` pairs r1 < r2 of multi-indices differing in every slot,
+    decoded from positions: x0 < y0 in the first slot outermost, the last slot fastest."""
+    rest, budget = math.prod(n * (n - 1) for n in sizes[1:]), max(1, budget)
+    starts = np.cumsum([0] + [(sizes[0] - 1 - x0) * rest for x0 in range(sizes[0] - 1)])
 
-
-def _split_pair_blocks(sizes: Sequence[int], x0: int, budget: int):
-    """:func:`_pair_blocks`' pairs with first slot x0 < y0, in its order (y0 outermost,
-    then each later slot's ordered pair x != y, the last slot fastest), decoded from their
-    positions ``budget`` at a time."""
-    count = (sizes[0] - 1 - x0) * math.prod(n * (n - 1) for n in sizes[1:])
-    for p0 in range(0, count, budget):
-        t = np.arange(p0, min(p0 + budget, count))
-        r1, r2, place = np.zeros_like(t), np.zeros_like(t), 1
+    def block(p0):          # starts[x0] is the position of first-slot value x0's first pair
+        t = np.arange(p0, min(p0 + budget, starts[-1]))
+        x0 = np.searchsorted(starts, t, side="right") - 1
+        t, r1, r2, place = t - starts[x0], 0, 0, 1
         for n in reversed(sizes[1:]):
             t, q = np.divmod(t, n * (n - 1))
             x, y = np.divmod(q, n - 1)
             r1, r2, place = r1 + x * place, r2 + (y + (y >= x)) * place, place * n
-        yield r1 + x0 * place, r2 + (x0 + 1 + t) * place
+        return r1 + x0 * place, r2 + (x0 + 1 + t) * place
+
+    return map(block, range(0, starts[-1], budget))
+
+
+def _column_pairs(n: int, budget: int):
+    """Pairs c1 < c2 of range(n), in blocks of whole c1 slices. A block holds at most ``budget``
+    pairs if budget >= n: in an accepted scan n < 2^16, and rows come budget // n at a time."""
+    step = max(1, budget // n)
+    for c0 in range(0, n - 1, step):
+        c1, c2 = np.triu_indices(min(step, n - 1 - c0), c0 + 1, n)
+        yield c1 + c0, c2
 
 
 def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
@@ -238,27 +236,34 @@ def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     """(max |minor|, family index, a, b) over the flattenings of ``families``.
 
     Scans the row pairs of M_S differing in every slot of S against its column
-    pairs c1 < c2, about _PAIR_BLOCK_BUDGET minors a block. The witness: the
-    first family attaining the max, then the smallest flat pair (a, b), a < b,
-    over both orientations (M[r1,c1], M[r2,c2]), (M[r1,c2], M[r2,c1]) of each
-    maximal minor."""
+    pairs c1 < c2, about _PAIR_BLOCK_BUDGET minors a block; the families of one
+    row shape share each block. The witness, whatever the visit order: the largest
+    |minor|, then the smallest family index, then the smallest flat pair (a, b),
+    a < b, over both orientations (M[r1,c1], M[r2,c2]), (M[r1,c2], M[r2,c1]) of
+    each maximal minor."""
     sizes, total = state.dims.sizes, state.dims.total
     _check_scan(sizes, families)
-    best, best_fam, best_key = -1.0, 0, 0
+    shapes = {}
     for fam, rows in enumerate(families):
-        mat, flat = (flattening(x, sizes, rows) for x in (state.amps, np.arange(total)))
-        for u, v in _pair_blocks([sizes[j] for j in rows], _PAIR_BLOCK_BUDGET // mat.shape[1]):
-            for c1, c2 in _pair_blocks(mat.shape[1:], _PAIR_BLOCK_BUDGET // u.size):
-                mags = np.abs(minors(mat, (u, v), (c1, c2)))
-                top = float(mags.max())
-                if top < best or (top == best and fam != best_fam):
-                    continue
-                p, q = np.nonzero(mags == top)
-                cols = np.stack([c1[q], c2[q]])      # both orientations
-                a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
-                key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
-                if top > best or key < best_key:
-                    best, best_fam, best_key = top, fam, key
+        shapes.setdefault(tuple(sizes[j] for j in rows), []).append(fam)
+    best, best_fam, best_key = -1.0, 0, 0
+    for shape, fams in shapes.items():
+        n_cols = total // math.prod(shape)
+        for u, v in _row_pairs(shape, _PAIR_BLOCK_BUDGET // n_cols):
+            for c1, c2 in _column_pairs(n_cols, _PAIR_BLOCK_BUDGET // u.size):
+                for fam in fams:
+                    mat = flattening(state.amps, sizes, families[fam])
+                    mags = np.abs(minors(mat, (u, v), (c1, c2)))
+                    top = float(mags.max())
+                    if top < best or (top == best and fam > best_fam):
+                        continue
+                    p, q = np.nonzero(mags == top)
+                    cols = np.stack([c1[q], c2[q]])      # both orientations
+                    flat = flattening(np.arange(total), sizes, families[fam])
+                    a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
+                    key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
+                    if top > best or fam < best_fam or key < best_key:
+                        best, best_fam, best_key = top, fam, key
     return (best, best_fam, *divmod(best_key, total))
 
 

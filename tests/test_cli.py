@@ -257,6 +257,33 @@ def test_measure_rejects_negative_exponent_norm(tmp_path, capsys, bell):
     assert "normalization must be positive and finite" in err
 
 
+def test_measure_norm_overflow_is_input_error(tmp_path, capsys, ghz3):
+    path = tmp_path / "ghz.json"
+    cli.write_state_file(str(path), ghz3)
+    code, out, err = run_cli(capsys, "measure", "--in", str(path), "--norm", "1.7e308")
+    assert (code, out) == (2, "")
+    assert "overflows" in err
+
+
+def test_generators_single_party_returns_at_once(capsys):
+    start = time.perf_counter()
+    report = run_json(capsys, "generators", "--dims", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (report["results"]["count"], report["results"]["specs"]) == (0, [])
+
+
+@pytest.mark.parametrize("argv", [("embed", "--dims", "4000000"),
+                                  ("embed", "--dims", "1048577"),
+                                  ("gen-state", "--name", "basis-product",
+                                   "--dims", ",".join(["2"] * 21))])
+def test_states_from_dims_refused_above_amplitude_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"> {cli.AMPLITUDE_CAP} amplitudes" in err
+
+
 def test_generators_refused_by_count_up_front(capsys):
     for qubits, count in ((12, "50307072"), (9, "587520")):
         start = time.perf_counter()

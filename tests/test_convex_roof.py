@@ -162,6 +162,19 @@ def test_roof_deterministic_for_fixed_seed():
     assert a.restart_bests == b.restart_bests
 
 
+def test_roof_diagonalizes_rho_once(monkeypatch, bell):
+    cases = [(werner_state(0.6), sg.RoofConfig(ensemble_size=4, restarts=1, max_iters=5)),
+             (sg.random_state("mixed", (2, 3), seed=4, rank=2), sg.RoofConfig(max_iters=5)),
+             (bell.density(), None)]
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    for rho, cfg in cases:
+        calls.clear()
+        est = sg.roof_F(rho, cfg)
+        assert len(calls) == 1
+        assert np.max(np.abs(est.decomposition.mixture().mat - rho.mat)) <= 1e-10
+
+
 def test_roof_mixing_convexity_spot_check():
     rho1 = sg.random_state("mixed", (2, 2), seed=70, rank=2)
     rho2 = sg.random_state("mixed", (2, 2), seed=71, rank=2)

@@ -197,6 +197,12 @@ def test_normalization_override(bell):
             sg.MeasureConfig(normalization=bad)
 
 
+def test_normalization_overflow_refused(ghz3):
+    for measure in (sg.measure_E, sg.measure_F):
+        with pytest.raises(sg.ConfigError, match="overflows"):
+            measure(ghz3, sg.MeasureConfig(normalization=1.7e308))
+
+
 def test_unnormalized_input_rejected():
     st = sg.make_state((2, 2), [1, 0, 0, 1])
     with pytest.raises(sg.NormalizationError):
