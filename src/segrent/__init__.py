@@ -9,76 +9,12 @@ convex roof over ensemble decompositions.
 
 __version__ = "0.1.0"
 
-from .convex_roof import (
-    RoofConfig,
-    RoofEstimate,
-    eigen_ensemble,
-    ensemble_from_isometry,
-    roof_F,
-    wootters_oracle,
-)
-from .errors import (
-    ConfigError,
-    DegenerateStateError,
-    DensityMatrixError,
-    DimensionError,
-    GeneratorSpecError,
-    IsometryError,
-    NormalizationError,
-    PartitionError,
-    SegrentError,
-    StateFileError,
-    UnsupportedStateError,
-)
-from .measures import (
-    MeasureConfig,
-    MeasureReport,
-    bipartite_concurrence_oracle,
-    measure_E,
-    measure_F,
-)
-from .segre_ideal import (
-    MembershipReport,
-    MinorSpec,
-    PermClass,
-    check_partition_commutativity,
-    enumerate_perm_classes,
-    enumerate_segre_generators,
-    evaluate_minor,
-    evaluate_perm_minor,
-    iter_segre_generators,
-    segre_residual,
-    t_variety_residual,
-)
-from .tensor_core import (
-    BoxTensor,
-    Decomposition,
-    DensityMatrix,
-    Dims,
-    flat_index,
-    make_state,
-    multi_index,
-    named_state,
-    random_state,
-    reduced_purity,
-    segre_embed,
-)
+from . import convex_roof, errors, measures, segre_ideal, tensor_core
+from .convex_roof import *
+from .errors import *
+from .measures import *
+from .segre_ideal import *
+from .tensor_core import *
 
-__all__ = [
-    "__version__",
-    "BoxTensor", "Decomposition", "DensityMatrix", "Dims",
-    "flat_index", "make_state", "multi_index", "named_state",
-    "random_state", "reduced_purity", "segre_embed",
-    "MembershipReport", "MinorSpec", "PermClass",
-    "check_partition_commutativity", "enumerate_perm_classes",
-    "enumerate_segre_generators", "evaluate_minor", "evaluate_perm_minor",
-    "iter_segre_generators", "segre_residual", "t_variety_residual",
-    "MeasureConfig", "MeasureReport", "bipartite_concurrence_oracle",
-    "measure_E", "measure_F",
-    "RoofConfig", "RoofEstimate", "eigen_ensemble", "ensemble_from_isometry",
-    "roof_F", "wootters_oracle",
-    "SegrentError", "ConfigError", "DegenerateStateError", "DensityMatrixError",
-    "DimensionError", "GeneratorSpecError", "IsometryError",
-    "NormalizationError", "PartitionError", "StateFileError",
-    "UnsupportedStateError",
-]
+__all__ = ["__version__", *tensor_core.__all__, *segre_ideal.__all__, *measures.__all__,
+           *convex_roof.__all__, *errors.__all__]

@@ -114,7 +114,7 @@ def read_state_file(path: str):
         doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
     except StateFileError:
         raise
-    except ValueError as exc:     # bad UTF-8 or JSON, or an integer of over 4300 digits
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge integer, deep nesting
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     return parse_state_file(doc, where=path), hashlib.sha256(raw).hexdigest()
 

@@ -31,6 +31,9 @@ from .segre_ideal import enumerate_perm_classes, minors
 from .tensor_core import (BoxTensor, Decomposition, DensityMatrix, DimsLike, as_dims,
                           flattening, seed_sequence)
 
+__all__ = ["RoofConfig", "RoofEstimate", "eigen_ensemble", "ensemble_from_isometry", "roof_F",
+           "wootters_oracle"]
+
 RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
 _INITIAL_STEP = 0.5
@@ -85,11 +88,15 @@ def check_roof_dims(dims: DimsLike) -> None:
 
 
 def _kept_eigs(rho: DensityMatrix):
-    """Eigenpairs above the rank floor, eigenvalues descending."""
+    """Eigenpairs above the rank floor, eigenvalues descending. The kept eigenvalues are
+    rescaled to sum to 1 only when they miss it by more than Decomposition's 1e-10, as
+    when many tiny ones are dropped; otherwise they keep their computed bits."""
     lam, vecs = np.linalg.eigh(rho.mat)
     lam, vecs = lam[::-1], vecs[:, ::-1]
     kept = lam > RANK_FLOOR
-    return lam[kept], vecs[:, kept]
+    lam, vecs = lam[kept], vecs[:, kept]
+    total = math.fsum(lam)
+    return (lam if abs(total - 1.0) <= 1e-10 else lam / total), vecs
 
 
 def eigen_ensemble(rho: DensityMatrix) -> Decomposition:

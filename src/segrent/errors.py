@@ -5,6 +5,10 @@ callers that do not care about the category can catch one class. The CLI
 maps any ``SegrentError`` to exit code 2 (bad input).
 """
 
+__all__ = ["SegrentError", "ConfigError", "DegenerateStateError", "DensityMatrixError",
+           "DimensionError", "GeneratorSpecError", "IsometryError", "NormalizationError",
+           "PartitionError", "StateFileError", "UnsupportedStateError"]
+
 
 class SegrentError(ValueError):
     """Base class for all segrent input and contract violations."""

@@ -25,6 +25,9 @@ from .segre_ideal import (PermClass, class_generator_sums, enumerate_perm_classe
                           slot_generator_sums)
 from .tensor_core import BoxTensor, reduced_purity, require_normalized
 
+__all__ = ["MeasureConfig", "MeasureReport", "bipartite_concurrence_oracle", "measure_E",
+           "measure_F"]
+
 DEFAULT_NORM_E = 1.0
 DEFAULT_NORM_F = 2.0
 MEASURE_WORK_CAP = 1 << 34   # largest sum_S R_S C_S min(R_S, C_S) of one measure's SVDs

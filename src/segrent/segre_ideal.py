@@ -30,6 +30,10 @@ from .errors import DimensionError, GeneratorSpecError, PartitionError
 from .tensor_core import (BoxTensor, DimsLike, as_dims, check_multi_index, check_subset,
                           flattening, multi_index, segre_embed)
 
+__all__ = ["MembershipReport", "MinorSpec", "PermClass", "check_partition_commutativity",
+           "enumerate_perm_classes", "enumerate_segre_generators", "evaluate_minor",
+           "evaluate_perm_minor", "iter_segre_generators", "segre_residual", "t_variety_residual"]
+
 MATERIALIZE_CAP = 200_000    # largest slot-generator count for which lists are built
 RESIDUAL_SCAN_CAP = 1 << 30  # largest minor count one residual scans
 DEFAULT_MEMBER_TOL = 1e-10
@@ -171,9 +175,10 @@ def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
     return float(2.0 * np.dot(x[:-1], tail[1:]))
 
 
-def _row_pairs(sizes: Sequence[int], budget: int):
+def _pairs(sizes: Sequence[int], budget: int):
     """Blocks of at most ``budget`` pairs r1 < r2 of multi-indices differing in every slot,
-    decoded from positions: x0 < y0 in the first slot outermost, the last slot fastest."""
+    decoded from positions: x0 < y0 in the first slot outermost, the last slot fastest.
+    Row pairs of M_S take the row shape; column pairs c1 < c2 of range(n) take ``(n,)``."""
     rest, budget = math.prod(n * (n - 1) for n in sizes[1:]), max(1, budget)
     starts = np.cumsum([0] + [(sizes[0] - 1 - x0) * rest for x0 in range(sizes[0] - 1)])
 
@@ -188,15 +193,6 @@ def _row_pairs(sizes: Sequence[int], budget: int):
         return r1 + x0 * place, r2 + (x0 + 1 + t) * place
 
     return map(block, range(0, starts[-1], budget))
-
-
-def _column_pairs(n: int, budget: int):
-    """Pairs c1 < c2 of range(n), in blocks of whole c1 slices. A block holds at most ``budget``
-    pairs if budget >= n: in an accepted scan n < 2^16, and rows come budget // n at a time."""
-    step = max(1, budget // n)
-    for c0 in range(0, n - 1, step):
-        c1, c2 = np.triu_indices(min(step, n - 1 - c0), c0 + 1, n)
-        yield c1 + c0, c2
 
 
 def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
@@ -236,7 +232,7 @@ def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     """(max |minor|, family index, a, b) over the flattenings of ``families``.
 
     Scans the row pairs of M_S differing in every slot of S against its column
-    pairs c1 < c2, about _PAIR_BLOCK_BUDGET minors a block; the families of one
+    pairs c1 < c2, at most _PAIR_BLOCK_BUDGET minors a block; the families of one
     row shape share each block. The witness, whatever the visit order: the largest
     |minor|, then the smallest family index, then the smallest flat pair (a, b),
     a < b, over both orientations (M[r1,c1], M[r2,c2]), (M[r1,c2], M[r2,c1]) of
@@ -249,8 +245,8 @@ def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     best, best_fam, best_key = -1.0, 0, 0
     for shape, fams in shapes.items():
         n_cols = total // math.prod(shape)
-        for u, v in _row_pairs(shape, _PAIR_BLOCK_BUDGET // n_cols):
-            for c1, c2 in _column_pairs(n_cols, _PAIR_BLOCK_BUDGET // u.size):
+        for u, v in _pairs(shape, _PAIR_BLOCK_BUDGET // n_cols):
+            for c1, c2 in _pairs((n_cols,), _PAIR_BLOCK_BUDGET // u.size):
                 for fam in fams:
                     mat = flattening(state.amps, sizes, families[fam])
                     mags = np.abs(minors(mat, (u, v), (c1, c2)))

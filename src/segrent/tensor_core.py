@@ -25,6 +25,9 @@ from .errors import (
     UnsupportedStateError,
 )
 
+__all__ = ["BoxTensor", "Decomposition", "DensityMatrix", "Dims", "flat_index", "make_state",
+           "multi_index", "named_state", "random_state", "reduced_purity", "segre_embed"]
+
 NORM_TOL = 1e-12        # |amps|^2 budget for "normalized" states
 _NORM_SNAP = 1e-13      # below this, normalization is a no-op (keeps it idempotent)
 _HERM_TOL = 1e-10

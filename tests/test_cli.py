@@ -8,7 +8,7 @@ import pytest
 import segrent as sg
 from segrent import cli, convex_roof, segre_ideal
 
-from conftest import werner_state
+from conftest import dropped_tail_state, werner_state
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +152,14 @@ def test_roof_command_accepts_pure_file(tmp_path, capsys, bell):
     assert report["results"]["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_roof_command_accepts_many_dropped_eigenvalues(tmp_path, capsys):
+    psi, rho = dropped_tail_state(7, 9e-13)
+    path = tmp_path / "dropped-tail.json"
+    cli.write_state_file(str(path), rho)
+    report = run_json(capsys, "roof", "--in", str(path))
+    assert report["results"]["value"] == pytest.approx(sg.measure_F(psi).value, abs=1e-10)
+
+
 def test_roof_command_refuses_unnormalized_pure_file(tmp_path, capsys):
     path = tmp_path / "bell-unnormalized.json"
     cli.write_state_file(str(path), sg.BoxTensor((2, 2), [1.0, 0.0, 0.0, 1.0]))
@@ -195,6 +203,20 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "measure", "--in", str(path))
     assert code == 2
+    assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"dims": [2, 2], "layout": "row-major", "index_base": 0, "amps": '
+    + "[" * 50_000 + "]" * 50_000 + "}",
+], ids=["brackets", "nested-amps"])
+def test_deeply_nested_state_file_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "measure", "--in", str(path))
+    assert code == 2
+    assert out == ""
     assert "not valid JSON" in err
 
 

@@ -8,7 +8,7 @@ from segrent import convex_roof
 from segrent.convex_roof import _ensemble_objective
 
 import oracles
-from conftest import werner_state
+from conftest import dropped_tail_state, werner_state
 
 
 # -------------------------------------------------------------- eigen ensemble
@@ -97,6 +97,16 @@ def test_roof_pure_state_equals_measure():
         est = sg.roof_F(psi.density(), sg.RoofConfig(restarts=1, seed=0))
         assert abs(est.value - sg.measure_F(psi).value) <= 1e-10
         assert len(est.decomposition.weights) == 1
+
+
+@pytest.mark.parametrize("m,eps", [(7, 9e-13), (6, -5e-11)])
+def test_roof_accepts_many_dropped_eigenvalues(m, eps):
+    _, rho = dropped_tail_state(m, eps)
+    dominant = sg.BoxTensor(rho.dims, np.linalg.eigh(rho.mat)[1][:, -1])
+    assert len(sg.eigen_ensemble(rho).weights) == 1
+    est = sg.roof_F(rho)
+    assert math.isfinite(est.value)
+    assert abs(est.value - sg.measure_F(dominant).value) <= 1e-10
 
 
 def test_roof_bell_projector(bell):

@@ -301,6 +301,31 @@ def test_block_streaming_matches_single_block(monkeypatch):
         assert np.max(np.abs(sums_whole - sums_chunked)) <= 1e-13
 
 
+@pytest.mark.parametrize("dims,seed", [((2, 16), 91), ((2, 3, 5), 92), ((3, 3, 2), 93)])
+def test_scan_blocks_never_exceed_budget(monkeypatch, dims, seed):
+    # (2, 16): M_{0} has more columns than the budget, so its column pairs are split
+    counts, real_minors = [], segre_ideal.minors
+
+    def counting(mat, rows, cols):
+        counts.append(rows[0].size * cols[0].size)
+        return real_minors(mat, rows, cols)
+
+    monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 7)
+    monkeypatch.setattr(segre_ideal, "minors", counting)
+    st = _real_gaussian_state(dims, seed)
+    subsets = oracles.brute_canonical_subsets(st.dims.m)
+    for family, residual in (("slot", sg.segre_residual), ("class", sg.t_variety_residual)):
+        counts.clear()
+        rep = residual(st)
+        assert counts and max(counts) <= 7
+        mag, fam, k, l = oracles.brute_residual_witness(st.tensor, family)
+        assert rep.residual == mag
+        if family == "slot":
+            assert (rep.worst.slot, rep.worst.pair) == (fam, (k, l))
+        else:
+            assert (rep.worst[0].swap_set, rep.worst[1]) == (tuple(subsets[fam]), (k, l))
+
+
 def test_lopsided_scan_memory_does_not_grow(monkeypatch):
     # (2, N, 2): class {0, 1} has N (N - 1) row pairs for one first-slot value
     peaks = []
