@@ -4,14 +4,17 @@ State files are 0-based and row-major (last party index fastest) and must
 say so explicitly via the "layout" and "index_base" fields. Amplitudes
 and matrix entries are [re, im] pairs to keep the files unambiguous.
 Reports go to stdout with sorted keys, diagnostics to stderr. Exit codes:
-0 success, 2 bad input, 1 internal failure.
+0 success, 2 bad input, 1 internal failure, 141 (128 + SIGPIPE) when the
+reader of stdout goes away early, as with ``| head``; nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -44,6 +47,7 @@ from .tensor_core import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 128 + 13        # as a shell reports a process ended by SIGPIPE
 AMPLITUDE_CAP = 1 << 20     # largest state that gen-state and embed build from --dims
 
 
@@ -242,8 +246,11 @@ def _cmd_roof(args, argv) -> dict:
     estimate = roof_F(rho, cfg)
     results = {
         "value": estimate.value,
+        "lower": estimate.lower,
+        "gap": estimate.value - estimate.lower,
         "weights": list(estimate.decomposition.weights),
         "restart_bests": list(estimate.restart_bests),
+        "restart_stops": list(estimate.restart_stops),
         "trace_length": len(estimate.trace),
         "notes": list(estimate.notes),
     }
@@ -347,6 +354,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _BufferedText:
+    """Hands ``out`` the encoder's small chunks about 64 KiB at a time, so an unbuffered
+    stdout makes one write call per 64 KiB rather than one per chunk, and the report is
+    never held whole."""
+
+    def __init__(self, out, size: int = 1 << 16):
+        self.out, self.size, self.parts, self.held = out, size, [], 0
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        self.held += len(text)
+        if self.held >= self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        self.out.write("".join(self.parts))
+        self.parts, self.held = [], 0
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -356,15 +382,24 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         report = args.handler(args, argv)
+        out = _BufferedText(sys.stdout)
         # inputs are checked finite, so a NaN here is an internal error
-        json.dump(report, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
+        json.dump(report, out, sort_keys=True, indent=2, allow_nan=False)
+        out.write("\n")
+        out.flush()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # so the shutdown flush of what stdout still holds does not raise again; a stdout
+        # without a file descriptor (a test's capture) has no such flush
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except (SegrentError, OSError) as exc:
         print(f"segrent: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
         print(f"segrent: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write("\n")
     return EXIT_OK
 
 

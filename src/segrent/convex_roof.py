@@ -9,7 +9,12 @@ K x r isometry V via phi_k = sum_i V_ki sqrt(lambda_i) v_i, with weights
 searches over V itself, retracting a complex K x r matrix Z to V by QR
 (Rothlisberger, Lehmann & Loss, PRL 102, 100502, 2009). The returned
 value is always the verified average of a concrete decomposition, hence
-a certified upper bound on the infimum.
+a certified upper bound on the infimum. A lower bound comes from the cuts
+S|S-bar of the exchange classes: by Minkowski the roof is at least
+sqrt(sum_S L_S^2), where L_S bounds the concurrence roof of the cut from
+below (Mintert & Buchleitner, PRL 98, 140505, 2007; the PPT and realignment
+bound of Chen, Albeverio & Fei, PRL 95, 040504, 2005). The search stops
+before its next restart once the best value is within GAP_TOL of it.
 The search objective evaluates every candidate decomposition at once
 from the 2x2 minors (:func:`segrent.segre_ideal.minors`, the residuals'
 kernel) of the batched flattenings M_S of its rows. A search whose restarts
@@ -38,6 +43,7 @@ RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
 _INITIAL_STEP = 0.5
 _VALUE_FLOOR = 1e-12     # objective is nonnegative; stop a restart at ~0
+GAP_TOL = 1e-6           # no further restart once the value is this close to the lower bound
 SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate
 ROOF_DIM_CAP = 1 << 11      # largest total dimension d whose d x d rho is diagonalized
 
@@ -70,12 +76,18 @@ class RoofConfig:
 
 @dataclass(frozen=True)
 class RoofEstimate:
-    """Best decomposition found and the descent diagnostics."""
+    """Best decomposition found, a lower bound on the roof and the descent diagnostics.
+
+    ``restart_stops`` gives each restart's stop reason: "max_iters", "step" (the step fell
+    to the tolerance) or "floor" (the value reached ~0).
+    """
 
     value: float
     decomposition: Decomposition
     trace: tuple[float, ...]
     restart_bests: tuple[float, ...]
+    lower: float
+    restart_stops: tuple[str, ...]
     notes: tuple[str, ...] = ()
 
 
@@ -159,12 +171,49 @@ def _ensemble_objective(sizes: tuple[int, ...]):
     return value
 
 
+def _lower_bound(rho: DensityMatrix) -> float:
+    """sqrt(sum_S L_S^2) over the canonical cuts S|S-bar, a lower bound on the roof.
+
+    L_S = max(0, MB_S, CAF_S) bounds the concurrence roof sqrt(2 (1 - Tr rho_S^2)) of the
+    cut, whose squares the pure-state measure sums: MB_S^2 = 2 Tr rho^2 - Tr rho_S^2 -
+    Tr rho_S-bar^2 and CAF_S = sqrt(2 / (n (n - 1))) (max(||rho^T_S||_1, ||R_S(rho)||_1) - 1)
+    with n = min(d_S, d_S-bar), where T_S is the partial transpose and R_S the realignment.
+    """
+    sizes, d, m = rho.dims.sizes, rho.dims.total, rho.dims.m
+    t = rho.mat.reshape(sizes + sizes)
+    purity = float(np.vdot(rho.mat, rho.mat).real)
+    total = 0.0
+    for c in enumerate_perm_classes(m):
+        rest = [j for j in range(m) if j not in c.swap_set]
+        n_s = math.prod(sizes[j] for j in c.swap_set)
+        n_r = d // n_s
+        # blocks[a, b, a', b'] = <a b| rho |a' b'>, a over the slots of S, b over the rest
+        blocks = t.transpose([*c.swap_set, *rest, *(m + j for j in c.swap_set),
+                              *(m + j for j in rest)]).reshape(n_s, n_r, n_s, n_r)
+        rho_s, rho_r = np.einsum("abcb->ac", blocks), np.einsum("abad->bd", blocks)
+        mb2 = 2.0 * purity - np.vdot(rho_s, rho_s).real - np.vdot(rho_r, rho_r).real
+        partial_t = blocks.transpose(2, 1, 0, 3).reshape(d, d)
+        realigned = blocks.transpose(0, 2, 1, 3).reshape(n_s * n_s, n_r * n_r)
+        # ||rho^T_S||_1 - 1 is twice the negative eigenvalues' weight, since Tr rho^T_S = 1;
+        # summed that way it is exactly 0 on a PPT state, where 1 + ... - 1 would round up
+        negative = -np.sum(np.minimum(np.linalg.eigvalsh(partial_t), 0.0))
+        excess = max(2.0 * negative, np.sum(np.linalg.svd(realigned, compute_uv=False)) - 1.0)
+        n = min(n_s, n_r)
+        caf = math.sqrt(2.0 / (n * (n - 1))) * float(excess)
+        total += max(0.0, math.sqrt(max(0.0, mb2)), caf) ** 2
+    return math.sqrt(total)
+
+
 def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate:
-    """Upper-bound estimate of the mixed-state exchange measure.
+    """Bracket [lower, value] of the mixed-state exchange measure.
 
     Runs pattern descent over the QR-retracted K x r isometry from random
     starts (plus Z = I, the eigen-decomposition, as the initial incumbent)
-    and reports the best decomposition average found. Deterministic for a
+    and reports the best decomposition average found, a certified upper
+    bound. ``lower`` is :func:`_lower_bound` of rho, or the value itself for a
+    pure input. Before each restart the search stops, with a note, once the
+    best value is within GAP_TOL of ``lower``; a restart that has begun runs
+    to its own stop, recorded in ``restart_stops``. Deterministic for a
     fixed seed (reduced mod 2^64): restart seeds come from fixed seed-sequence
     splitting, so results do not depend on scheduling. Raises ConfigError before
     the search if restarts x max_iters sweeps of 2 (2Kr) candidates x K rows
@@ -180,7 +229,7 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
         raise ConfigError(f"ensemble_size {k} is below the state rank {r}")
     notes = (f"ensemble size capped at K={k}; the infimum ranges over "
              "all decomposition sizes", )
-    trace, restart_bests = [], []
+    trace, restart_bests, restart_stops, lower = [], [], [], None
     if r > 1:     # else every decomposition of a pure state repeats it up to phase
         sizes, total = rho.dims.sizes, rho.dims.total
         n_params = 2 * k * r
@@ -192,6 +241,7 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
             raise ConfigError(f"a search at ensemble size K={k} and rank {r} with {cfg.restarts} "
                               f"restarts of {cfg.max_iters} iterations would evaluate {search} > "
                               f"{SEARCH_MINOR_CAP} minors")
+        lower = _lower_bound(rho)
         w_rows = np.sqrt(dec.weights)[:, None] * np.array([s.amps for s in dec.states])
         ensemble_value = _ensemble_objective(sizes)
 
@@ -210,6 +260,10 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
         best = float(objective(theta_best[None])[0])
         trace.append(best)
         for seq in seed_sequence(cfg.seed).spawn(cfg.restarts):
+            if best - lower <= GAP_TOL:
+                notes += (f"search stopped after {len(restart_bests)} of {cfg.restarts} "
+                          f"restarts: value within {GAP_TOL:g} of the lower bound", )
+                break
             rng = np.random.default_rng(seq)
             theta = rng.standard_normal(n_params)
             fval = float(objective(theta[None])[0])
@@ -235,11 +289,14 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
                     theta_best = theta
                 trace.append(best)
             restart_bests.append(fval)
+            restart_stops.append("floor" if fval <= _VALUE_FLOOR else
+                                 "step" if step <= cfg.step_tolerance else "max_iters")
 
         dec = _rows_decomposition(rho.dims, isometries(theta_best[None])[0] @ w_rows)
     value = float(math.fsum(w * measure_F(s).value
                             for w, s in zip(dec.weights, dec.states)))
-    return RoofEstimate(value, dec, tuple(trace) or (value,), tuple(restart_bests), notes)
+    return RoofEstimate(value, dec, tuple(trace) or (value,), tuple(restart_bests),
+                        value if lower is None else lower, tuple(restart_stops), notes)
 
 
 def wootters_oracle(rho: DensityMatrix) -> float:

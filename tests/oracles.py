@@ -176,3 +176,53 @@ def brute_residual_witness(tensor, family):
             if best is None or v > best[0]:
                 best = (v, fam, k, l)
     return best
+
+
+def brute_roof_lower(rho, dims):
+    """sqrt(sum_S L_S^2) over the canonical cuts S, spelled out with index loops.
+
+    L_S = max(0, sqrt(max(0, 2 Tr rho^2 - Tr rho_S^2 - Tr rho_rest^2)),
+    sqrt(2 / (n (n - 1))) (max(||rho^T_S||_1, ||R_S(rho)||_1) - 1)), n = min(d_S, d_rest):
+    the Mintert-Buchleitner and Chen-Albeverio-Fei bounds on the concurrence of the cut.
+    """
+    indices = all_multi_indices(dims)
+    flat = {k: i for i, k in enumerate(indices)}
+    m = len(dims)
+    purity = float(np.real(np.trace(rho @ rho)))
+    total = 0.0
+    for swap in brute_canonical_subsets(m):
+        rest = [j for j in range(m) if j not in swap]
+        part_s = list(itertools.product(*[range(dims[j]) for j in swap]))
+        part_r = list(itertools.product(*[range(dims[j]) for j in rest]))
+
+        def idx(a, b):
+            out = [0] * m
+            for j, v in zip(swap, a):
+                out[j] = v
+            for j, v in zip(rest, b):
+                out[j] = v
+            return flat[tuple(out)]
+
+        n_s, n_r = len(part_s), len(part_r)
+        rho_s = np.zeros((n_s, n_s), dtype=complex)
+        rho_r = np.zeros((n_r, n_r), dtype=complex)
+        pt = np.zeros_like(rho)
+        realigned = np.zeros((n_s * n_s, n_r * n_r), dtype=complex)
+        for i, a in enumerate(part_s):
+            for i2, a2 in enumerate(part_s):
+                for k, b in enumerate(part_r):
+                    for k2, b2 in enumerate(part_r):
+                        v = rho[idx(a, b), idx(a2, b2)]
+                        pt[idx(a2, b), idx(a, b2)] = v
+                        realigned[i * n_s + i2, k * n_r + k2] = v
+                        if k == k2:
+                            rho_s[i, i2] += v
+                        if i == i2:
+                            rho_r[k, k2] += v
+        mb2 = 2 * purity - np.real(np.trace(rho_s @ rho_s)) - np.real(np.trace(rho_r @ rho_r))
+        norm = max(np.sum(np.abs(np.linalg.eigvalsh(pt))),
+                   np.sum(np.linalg.svd(realigned, compute_uv=False)))
+        n = min(n_s, n_r)
+        caf = np.sqrt(2.0 / (n * (n - 1))) * (norm - 1.0)
+        total += max(0.0, np.sqrt(max(0.0, mb2)), caf) ** 2
+    return float(np.sqrt(total))

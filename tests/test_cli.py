@@ -1,6 +1,11 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,9 +145,25 @@ def test_roof_command_on_werner(tmp_path, capsys):
     cli.write_state_file(str(path), werner_state(0.8))
     report = run_json(capsys, "roof", "--in", str(path), "--restarts", "6",
                       "--ensemble", "4", "--seed", "7")
-    assert abs(report["results"]["value"] - 0.7) <= 2e-2
-    assert math.fsum(report["results"]["weights"]) == pytest.approx(1.0, abs=1e-9)
-    assert len(report["results"]["restart_bests"]) == 6
+    res = report["results"]
+    assert abs(res["value"] - 0.7) <= 2e-2
+    assert math.fsum(res["weights"]) == pytest.approx(1.0, abs=1e-9)
+    # the first restart meets the lower bound, so the gap rule skips the other five
+    assert len(res["restart_bests"]) == len(res["restart_stops"]) == 1
+    assert any("search stopped after 1 of 6 restarts" in n for n in res["notes"])
+    assert res["lower"] <= res["value"]
+    assert res["gap"] == res["value"] - res["lower"]
+
+
+def test_roof_command_runs_every_restart_while_gap_is_open(tmp_path, capsys):
+    path = tmp_path / "mixed23.json"
+    cli.write_state_file(str(path), sg.random_state("mixed", (2, 3), seed=4, rank=2))
+    report = run_json(capsys, "roof", "--in", str(path), "--restarts", "6", "--iters", "100")
+    res = report["results"]
+    assert len(res["restart_bests"]) == len(res["restart_stops"]) == 6
+    assert res["gap"] > convex_roof.GAP_TOL
+    assert res["lower"] <= res["value"]
+    assert not any("search stopped" in n for n in res["notes"])
 
 
 def test_roof_command_accepts_pure_file(tmp_path, capsys, bell):
@@ -453,6 +474,34 @@ def test_internal_failure_maps_to_one(tmp_path, capsys, monkeypatch, bell):
     code, _, err = run_cli(capsys, "measure", "--in", str(path))
     assert code == 1
     assert "internal error" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_ends_quietly(unbuffered):
+    # a 1.7 MB report, far more than a pipe holds, so the writer meets the closed end
+    env = dict(os.environ, PYTHONPATH=str(Path(sg.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "segrent", "generators", "--dims",
+                             "2,2,2,2,2,2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert head == b'{\n  "argv"'
+    assert err == b""
+
+
+def test_closed_pipe_without_file_descriptor(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["generators", "--dims", "2,2"]) == cli.EXIT_PIPE
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- determinism

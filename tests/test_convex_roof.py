@@ -1,11 +1,16 @@
+import importlib.util
+import itertools
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import segrent as sg
-from segrent import convex_roof
-from segrent.convex_roof import _ensemble_objective
+from segrent import cli, convex_roof
+from segrent.convex_roof import _ensemble_objective, _lower_bound
 
 import oracles
 from conftest import dropped_tail_state, werner_state
@@ -243,6 +248,122 @@ def test_roof_notes_mention_size_cap():
     est = sg.roof_F(werner_state(0.5), sg.RoofConfig(ensemble_size=4,
                                                      restarts=1, seed=0))
     assert any("K=4" in n for n in est.notes)
+
+
+# ------------------------------------------------------------------ roof bracket
+
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _permuted(rho, perm):
+    sizes, m = rho.dims.sizes, rho.dims.m
+    mat = rho.mat.reshape(sizes + sizes).transpose([*perm, *(m + j for j in perm)])
+    return sg.DensityMatrix(tuple(sizes[j] for j in perm), mat.reshape(rho.mat.shape))
+
+
+@pytest.mark.parametrize("dims,rank", [((2, 2), 2), ((2, 3), 2), ((2, 3), 4), ((2, 2, 2), 3),
+                                       ((2, 3, 2), 2)])
+def test_roof_lower_matches_oracle(dims, rank):
+    for seed in range(3):
+        rho = sg.random_state("mixed", dims, seed=seed, rank=rank)
+        assert abs(_lower_bound(rho) - oracles.brute_roof_lower(rho.mat, dims)) <= 1e-12
+
+
+def test_roof_lower_sees_ppt_entangled_tiles_state():
+    # the 3x3 "Tiles" unextendible-product-basis state is PPT, so only the realignment
+    # term of the bound is positive: ||R||_1 = 1.0874, times sqrt(2 / 6)
+    e, plus = np.eye(3), np.ones(3) / math.sqrt(3.0)
+    tiles = [np.kron(e[0], e[0] - e[1]), np.kron(e[0] - e[1], e[2]), np.kron(e[2], e[1] - e[2]),
+             np.kron(e[1] - e[2], e[0])]
+    proj = sum(np.outer(v, v) / 2.0 for v in tiles) + np.outer(np.kron(plus, plus),
+                                                              np.kron(plus, plus))
+    rho = sg.DensityMatrix((3, 3), (np.eye(9) - proj) / 4.0)
+    lower = _lower_bound(rho)
+    assert 0.0504 <= lower <= 0.0505
+    assert abs(lower - oracles.brute_roof_lower(rho.mat, (3, 3))) <= 1e-12
+
+
+def test_roof_bracket_holds_wootters():
+    for seed in range(200):
+        rho = sg.random_state("mixed", (2, 2), seed=seed, rank=2 + seed % 3)
+        est = sg.roof_F(rho, sg.RoofConfig(restarts=1, max_iters=5, seed=seed))
+        assert est.lower <= sg.wootters_oracle(rho) <= est.value + 1e-12
+
+
+@pytest.mark.parametrize("p", [0.2, 0.3, 0.4, 0.5, 0.8])
+def test_roof_lower_equals_werner_closed_form(p):
+    est = sg.roof_F(werner_state(p), sg.RoofConfig(restarts=1, max_iters=1))
+    assert abs(est.lower - max(0.0, (3.0 * p - 1.0) / 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims,rank", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 3), 2), ((2, 3), 3)])
+def test_roof_lower_invariant_under_local_unitaries_and_permutations(dims, rank):
+    rng = np.random.default_rng(17)
+    rho = sg.random_state("mixed", dims, seed=rank, rank=rank)
+    lower = _lower_bound(rho)
+    for _ in range(3):
+        u = np.ones((1, 1))
+        for n in dims:
+            u = np.kron(u, _haar_unitary(rng, n))
+        assert abs(_lower_bound(sg.DensityMatrix(dims, u @ rho.mat @ u.conj().T)) - lower) <= 1e-12
+    for perm in itertools.permutations(range(len(dims))):
+        assert abs(_lower_bound(_permuted(rho, perm)) - lower) <= 1e-12
+
+
+@pytest.mark.parametrize("dims,seed", [((2, 2), 0), ((2, 3), 1), ((2, 2, 2), 2)])
+def test_roof_lower_equals_value_on_pure_projectors(dims, seed):
+    psi = sg.random_state("haar-pure", dims, seed=seed)
+    est = sg.roof_F(psi.density())
+    assert est.lower == est.value
+    assert abs(est.value - sg.measure_F(psi).value) <= 1e-12
+    assert est.restart_bests == est.restart_stops == ()
+
+
+def test_roof_gap_stops_search_between_restarts(monkeypatch):
+    rho, cfg = werner_state(0.8), sg.RoofConfig(ensemble_size=4, restarts=8, seed=7)
+    est = sg.roof_F(rho, cfg)
+    n = len(est.restart_bests)
+    assert n == len(est.restart_stops) < 8
+    assert est.value - est.lower <= convex_roof.GAP_TOL
+    assert any(f"after {n} of 8 restarts" in note for note in est.notes)
+    # without the stop rule the same restarts run to the same ends, then the rest
+    monkeypatch.setattr(convex_roof, "GAP_TOL", -math.inf)
+    full = sg.roof_F(rho, cfg)
+    assert full.restart_bests[:n] == est.restart_bests
+    assert full.restart_stops[:n] == est.restart_stops
+    assert len(full.restart_bests) == 8
+    assert not any("restarts:" in note for note in full.notes)
+
+
+def test_roof_restart_stop_reasons():
+    est = sg.roof_F(sg.random_state("mixed", (2, 3), seed=3, rank=2),
+                    sg.RoofConfig(restarts=2, max_iters=3))
+    assert est.restart_stops == ("max_iters", "max_iters")
+    est = sg.roof_F(werner_state(0.3), sg.RoofConfig(restarts=1, seed=1))
+    assert est.restart_stops in (("step",), ("floor",))
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_roof_bracket_on_benchmark_inputs(seed, tmp_path, monkeypatch, capsys):
+    workload = _bench_workloads().build("roof-search", seed, str(tmp_path), "in")
+    monkeypatch.chdir(tmp_path)
+    for cmd in workload.commands:
+        assert cli.main(list(cmd.argv)) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["lower"] <= res["value"], cmd.name
+        assert res["gap"] == res["value"] - res["lower"]
+        assert len(res["restart_stops"]) == len(res["restart_bests"])
 
 
 # -------------------------------------------------------------- wootters oracle
