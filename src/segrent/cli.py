@@ -48,7 +48,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_PIPE = 128 + 13        # as a shell reports a process ended by SIGPIPE
-AMPLITUDE_CAP = 1 << 20     # largest state that gen-state and embed build from --dims
+AMPLITUDE_CAP = 1 << 20     # largest state that gen-state builds from --dims
 
 
 # ---------------------------------------------------------------- state files
@@ -176,12 +176,6 @@ def _membership_dict(report) -> dict:
     }
 
 
-def _check_amplitudes(dims: Dims) -> None:
-    if dims.total > AMPLITUDE_CAP:
-        raise DimensionError(f"refusing to build a state of {dims.total} > {AMPLITUDE_CAP} "
-                             f"amplitudes for dims {dims.sizes}")
-
-
 def _require_pure(state, path: str) -> BoxTensor:
     if not isinstance(state, BoxTensor):
         raise StateFileError(f"{path}: this command needs a pure state ('amps')")
@@ -262,8 +256,9 @@ def _cmd_roof(args, argv) -> dict:
 
 def _cmd_embed(args, argv) -> dict:
     dims = Dims(args.dims)
+    if dims.m < 2:             # one factor would be the state itself, with no splits
+        raise DimensionError(f"embed needs at least two parties, got dims {dims.sizes}")
     check_segre_scan(dims)     # before the state is built once plus twice per split
-    _check_amplitudes(dims)    # binds only for one party, which has no Segre scan
     factors = product_factors(dims, args.seed)
     state = segre_embed(factors)
     splits = [args.split] if args.split is not None else list(range(1, dims.m))
@@ -282,7 +277,9 @@ def _cmd_embed(args, argv) -> dict:
 
 def _cmd_gen_state(args, argv) -> dict:
     dims = Dims(args.dims)
-    _check_amplitudes(dims)
+    if dims.total > AMPLITUDE_CAP:
+        raise DimensionError(f"refusing to build a state of {dims.total} > {AMPLITUDE_CAP} "
+                             f"amplitudes for dims {dims.sizes}")
     state = named_state(args.name, dims)
     doc = state_file_dict(state)
     if args.out:

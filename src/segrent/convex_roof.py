@@ -15,11 +15,11 @@ sqrt(sum_S L_S^2), where L_S bounds the concurrence roof of the cut from
 below (Mintert & Buchleitner, PRL 98, 140505, 2007; the PPT and realignment
 bound of Chen, Albeverio & Fei, PRL 95, 040504, 2005). The search stops
 before its next restart once the best value is within GAP_TOL of it.
-The search objective evaluates every candidate decomposition at once
-from the 2x2 minors (:func:`segrent.segre_ideal.minors`, the residuals'
-kernel) of the batched flattenings M_S of its rows. A search whose restarts
-x sweeps would evaluate more than SEARCH_MINOR_CAP minors is refused up front, and so
-is a state of total dimension above ROOF_DIM_CAP, before rho is diagonalized.
+The search objective sums the 2x2 minors (:func:`segrent.segre_ideal.minors`) of
+the flattenings M_S of a sweep's candidate rows in the residual scan's bounded blocks.
+A search whose restarts x sweeps would count more than SEARCH_MINOR_CAP minors, a
+sweep's poll counting (2Kr)^3 / 256, is refused up front, and so is a state of total
+dimension above ROOF_DIM_CAP, before rho is diagonalized.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, IsometryError
 from .measures import DEFAULT_NORM_F, measure_F
-from .segre_ideal import enumerate_perm_classes, minors
+from .segre_ideal import _pair_blocks, enumerate_perm_classes, minors
 from .tensor_core import (BoxTensor, Decomposition, DensityMatrix, DimsLike, as_dims,
                           flattening, seed_sequence)
 
@@ -44,7 +44,7 @@ WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
 _INITIAL_STEP = 0.5
 _VALUE_FLOOR = 1e-12     # objective is nonnegative; stop a restart at ~0
 GAP_TOL = 1e-6           # no further restart once the value is this close to the lower bound
-SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate
+SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate, poll included
 ROOF_DIM_CAP = 1 << 11      # largest total dimension d whose d x d rho is diagonalized
 
 
@@ -144,28 +144,29 @@ def _rows_decomposition(dims, phi: np.ndarray) -> Decomposition:
     return Decomposition(tuple(float(w) for w in weights[kept]), states)
 
 
-def _ensemble_objective(sizes: tuple[int, ...]):
+def _ensemble_objective(sizes: tuple[int, ...], batch: int):
     """Batched sum_k of the unnormalized exchange measure of row phi_k.
 
     Every generator of class S is a 2x2 minor of the flattening M_S of the
     row, and each minor is the generator of exactly two index pairs, so a
     row's sum of |g|^2 is twice the sum of |minor|^2 over row pairs
-    r1 < r2 and column pairs c1 < c2 of every M_S. For unnormalized rows
-    the per-row value sqrt(N sum |g|^2) already equals weight * measure of
-    the normalized state, because the generators are quadratic in the
-    amplitudes.
+    r1 < r2 and column pairs c1 < c2 of every M_S, in the residual scan's blocks of
+    at most _PAIR_BLOCK_BUDGET minors over calls of up to ``batch`` rows. For
+    unnormalized rows the per-row value sqrt(N sum |g|^2) already equals weight *
+    measure of the normalized state, because the generators are quadratic.
     """
     plan = []
     for c in enumerate_perm_classes(len(sizes)):
         n_rows = math.prod(sizes[j] for j in c.swap_set)
-        plan.append((c.swap_set, np.triu_indices(n_rows, 1),
-                     np.triu_indices(math.prod(sizes) // n_rows, 1)))
+        plan.append((c.swap_set, list(_pair_blocks((n_rows,), math.prod(sizes) // n_rows, batch))))
 
     def value(phi: np.ndarray) -> np.ndarray:          # (..., K, d) -> (...)
         ssq = np.zeros(phi.shape[:-1])
-        for rows, (r1, r2), (c1, c2) in plan:
-            g = minors(flattening(phi, sizes, rows), (r1, r2), (c1, c2))
-            ssq += np.sum((g * g.conj()).real, axis=(-2, -1))
+        for rows, blocks in plan:
+            mat = flattening(phi, sizes, rows)
+            for pairs in blocks:
+                g = minors(mat, *pairs)
+                ssq += np.sum((g * g.conj()).real, axis=(-2, -1))
         return np.sum(np.sqrt(2.0 * DEFAULT_NORM_F * ssq), axis=-1)
 
     return value
@@ -215,10 +216,10 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     best value is within GAP_TOL of ``lower``; a restart that has begun runs
     to its own stop, recorded in ``restart_stops``. Deterministic for a
     fixed seed (reduced mod 2^64): restart seeds come from fixed seed-sequence
-    splitting, so results do not depend on scheduling. Raises ConfigError before
-    the search if restarts x max_iters sweeps of 2 (2Kr) candidates x K rows
-    would evaluate more than SEARCH_MINOR_CAP minors, and raises DimensionError before
-    rho is diagonalized if its total dimension exceeds ROOF_DIM_CAP.
+    splitting, so results do not depend on scheduling. Raises ConfigError before the
+    search if restarts x max_iters sweeps of 2 (2Kr) candidates x K rows, plus a (2Kr)^3
+    / 256 poll each, would count more than SEARCH_MINOR_CAP minors, and raises
+    DimensionError before rho is diagonalized if its total dimension exceeds ROOF_DIM_CAP.
     """
     check_roof_dims(rho.dims)
     cfg = config or RoofConfig()
@@ -236,14 +237,15 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
         rows = [math.prod(sizes[j] for j in c.swap_set)
                 for c in enumerate_perm_classes(len(sizes))]
         sweep = 2 * n_params * k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows)
-        search = cfg.restarts * cfg.max_iters * sweep
+        # a sweep's 2Kr x 2Kr poll draw and QR take about as long as n_params^3 / 256 minors
+        search = cfg.restarts * cfg.max_iters * (sweep + n_params ** 3 // 256)
         if search > SEARCH_MINOR_CAP:
             raise ConfigError(f"a search at ensemble size K={k} and rank {r} with {cfg.restarts} "
-                              f"restarts of {cfg.max_iters} iterations would evaluate {search} > "
+                              f"restarts of {cfg.max_iters} iterations would count {search} > "
                               f"{SEARCH_MINOR_CAP} minors")
         lower = _lower_bound(rho)
         w_rows = np.sqrt(dec.weights)[:, None] * np.array([s.amps for s in dec.states])
-        ensemble_value = _ensemble_objective(sizes)
+        ensemble_value = _ensemble_objective(sizes, 2 * n_params * k)
 
         def isometries(thetas: np.ndarray) -> np.ndarray:
             # rows hold Re Z then Im Z; V = Q diag(phase(diag R)) of Z = QR is

@@ -195,6 +195,14 @@ def _pairs(sizes: Sequence[int], budget: int):
     return map(block, range(0, starts[-1], budget))
 
 
+def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
+    """(row pairs of ``row_shape``, column pairs of ``(n_cols,)``) blocks of at most
+    _PAIR_BLOCK_BUDGET minors over a stack of ``batch`` matrices, or of one pair each."""
+    for rows in _pairs(row_shape, _PAIR_BLOCK_BUDGET // batch // n_cols):
+        for cols in _pairs((n_cols,), _PAIR_BLOCK_BUDGET // batch // rows[0].size):
+            yield rows, cols
+
+
 def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
     """Minors of (..., R, C) matrices for row pairs (r1, r2) x column pairs (c1, c2)."""
     (r1, r2), (c1, c2) = rows, cols
@@ -244,22 +252,20 @@ def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
         shapes.setdefault(tuple(sizes[j] for j in rows), []).append(fam)
     best, best_fam, best_key = -1.0, 0, 0
     for shape, fams in shapes.items():
-        n_cols = total // math.prod(shape)
-        for u, v in _pairs(shape, _PAIR_BLOCK_BUDGET // n_cols):
-            for c1, c2 in _pairs((n_cols,), _PAIR_BLOCK_BUDGET // u.size):
-                for fam in fams:
-                    mat = flattening(state.amps, sizes, families[fam])
-                    mags = np.abs(minors(mat, (u, v), (c1, c2)))
-                    top = float(mags.max())
-                    if top < best or (top == best and fam > best_fam):
-                        continue
-                    p, q = np.nonzero(mags == top)
-                    cols = np.stack([c1[q], c2[q]])      # both orientations
-                    flat = flattening(np.arange(total), sizes, families[fam])
-                    a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
-                    key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
-                    if top > best or fam < best_fam or key < best_key:
-                        best, best_fam, best_key = top, fam, key
+        for (u, v), (c1, c2) in _pair_blocks(shape, total // math.prod(shape)):
+            for fam in fams:
+                mat = flattening(state.amps, sizes, families[fam])
+                mags = np.abs(minors(mat, (u, v), (c1, c2)))
+                top = float(mags.max())
+                if top < best or (top == best and fam > best_fam):
+                    continue
+                p, q = np.nonzero(mags == top)
+                cols = np.stack([c1[q], c2[q]])      # both orientations
+                flat = flattening(np.arange(total), sizes, families[fam])
+                a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
+                key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
+                if top > best or fam < best_fam or key < best_key:
+                    best, best_fam, best_key = top, fam, key
     return (best, best_fam, *divmod(best_key, total))
 
 

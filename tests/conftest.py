@@ -35,3 +35,10 @@ def dropped_tail_state(m: int, eps: float, seed: int = 5):
     proj = np.outer(psi.amps, psi.amps.conj())
     d = 2 ** m
     return psi, sg.DensityMatrix((2,) * m, (1 - (d - 1) * eps) * proj + eps * (np.eye(d) - proj))
+
+
+def near_product_state(dims, eps: float, seed: int) -> sg.BoxTensor:
+    """A seeded product state plus eps times a seeded Haar state, normalized."""
+    amps = (sg.random_state("product", dims, seed=seed).amps
+            + eps * sg.random_state("haar-pure", dims, seed=seed + 1).amps)
+    return sg.BoxTensor(dims, amps / np.linalg.norm(amps))

@@ -6,6 +6,7 @@ under test, so these stay valid cross-checks for the vectorized paths.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,6 +75,33 @@ def brute_perm_sum_and_max(tensor):
                 total += v * v
                 worst = max(worst, v)
     return total, worst
+
+
+def exact_generator_sum(tensor, family):
+    """Sum of |generator|^2 in exact rational arithmetic, for small tensors.
+
+    The stored float amplitudes are read as the exact rationals they are, so
+    the returned Fraction is the true sum at those amplitudes, free of
+    rounding. ``family`` is "slot" (each single slot) or "class" (the
+    canonical subsets); both run over every pair k < l, since the pairs that
+    brute_segre_pairs filters out give zero.
+    """
+    dims = tensor.shape
+    amps = {k: (Fraction(complex(tensor[k]).real), Fraction(complex(tensor[k]).imag))
+            for k in all_multi_indices(dims)}
+
+    def product(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    swaps = ([[j] for j in range(len(dims))] if family == "slot"
+             else brute_canonical_subsets(len(dims)))
+    total = Fraction(0)
+    for swap in swaps:
+        for k, l in itertools.combinations(all_multi_indices(dims), 2):
+            k2, l2 = swap_positions(k, l, swap)
+            (a, b), (c, d) = product(amps[k], amps[l]), product(amps[k2], amps[l2])
+            total += (a - c) ** 2 + (b - d) ** 2
+    return total
 
 
 def brute_reduced_density(tensor, keep):

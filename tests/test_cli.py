@@ -211,6 +211,13 @@ def test_embed_single_split(capsys):
     assert set(report["results"]["split_deviation"]) == {"1"}
 
 
+def test_embed_refuses_one_party(capsys):
+    # one factor is the state itself and there is no split to check
+    code, out, err = run_cli(capsys, "embed", "--dims", "3")
+    assert (code, out) == (2, "")
+    assert "embed needs at least two parties, got dims (3,)" in err
+
+
 # ------------------------------------------------------------------- exit codes
 
 def test_missing_file_is_input_error(capsys):
@@ -320,11 +327,13 @@ def test_generators_single_party_returns_at_once(capsys):
                                   ("gen-state", "--name", "basis-product",
                                    "--dims", ",".join(["2"] * 21))])
 def test_states_from_dims_refused_above_amplitude_cap(capsys, argv):
+    # embed refuses one party at any size before the cap is reached
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert f"> {cli.AMPLITUDE_CAP} amplitudes" in err
+    assert ("embed needs at least two parties" if argv[0] == "embed"
+            else f"> {cli.AMPLITUDE_CAP} amplitudes") in err
 
 
 def test_generators_refused_by_count_up_front(capsys):
@@ -402,6 +411,12 @@ def test_roof_refused_by_sweep_size_up_front(tmp_path, capsys):
 @pytest.mark.parametrize("rho,argv,fragment", [
     (werner_state(0.5), ("--restarts", "100000000"), "100000000 restarts of 2000"),
     (sg.random_state("mixed", (2,) * 4, seed=4), (), "K=20 and rank 16 with 8 restarts"),
+    # each sweep's 4096 x 4096 poll counts 4096^3 / 256 = 2^28 on top of 2^22 minors
+    (werner_state(0.5), ("--ensemble", "512", "--restarts", "8", "--iters", "8"),
+     "K=512 and rank 4 with 8 restarts of 8 iterations would count 17448304640 >"),
+    # 2^28 minors alone, and a 32768 x 32768 poll matrix of 8.6 GB
+    (werner_state(0.5), ("--ensemble", "4096", "--restarts", "1", "--iters", "1"),
+     "K=4096 and rank 4 with 1 restarts of 1 iterations would count"),
 ])
 def test_roof_refused_by_search_size_up_front(tmp_path, capsys, rho, argv, fragment):
     path = tmp_path / "mixed.json"

@@ -3,17 +3,19 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import segrent as sg
-from segrent import cli, convex_roof
+from segrent import cli, convex_roof, segre_ideal
 from segrent.convex_roof import _ensemble_objective, _lower_bound
 
 import oracles
-from conftest import dropped_tail_state, werner_state
+from conftest import dropped_tail_state, near_product_state, werner_state
 
 
 # -------------------------------------------------------------- eigen ensemble
@@ -83,15 +85,70 @@ def test_isometry_validation():
 
 @pytest.mark.parametrize("dims,seed", [((2, 2), 0), ((2, 3), 1), ((3, 3), 2),
                                        ((2, 2, 2), 3), ((2, 2, 3), 4)])
-def test_ensemble_objective_matches_oracle(dims, seed):
+def test_ensemble_objective_matches_oracle(dims, seed, monkeypatch):
     rng = np.random.default_rng(seed)
     shape = (2, 3, math.prod(dims))
     phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)   # unnormalized
-    got = _ensemble_objective(dims)(phi)
     want = [math.fsum(math.sqrt(2.0 * oracles.brute_perm_sum_and_max(row.reshape(dims))[0])
                       for row in batch) for batch in phi]
-    assert got.shape == (shape[0],)
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # the default budget holds each class in one block; 6 leaves one minor a row per block
+    for budget in (segre_ideal._PAIR_BLOCK_BUDGET, 6):
+        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
+        got = _ensemble_objective(dims, 6)(phi)
+        assert got.shape == (shape[0],)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rho", [sg.random_state("mixed", (2, 2, 2), seed=1, rank=3),
+                                 sg.random_state("mixed", (2, 16), seed=2, rank=2)])
+def test_objective_blocks_never_exceed_budget(monkeypatch, rho):
+    # a sweep evaluates 2 (2Kr) candidates of K = 4 rows, 5 minors a row in a block: that
+    # splits every class of (2, 2, 2), which have 6, and is below the 16 columns of M_{0}
+    # of (2, 16), so its column pairs are split too
+    counts, real_minors = [], convex_roof.minors
+    budget = 2 * (2 * 4 * len(sg.eigen_ensemble(rho).weights)) * 4 * 5
+
+    def counting(mat, rows, cols):
+        counts.append(math.prod(mat.shape[:-2]) * rows[0].size * cols[0].size)
+        return real_minors(mat, rows, cols)
+
+    monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
+    monkeypatch.setattr(convex_roof, "minors", counting)
+    est = sg.roof_F(rho, sg.RoofConfig(ensemble_size=4, restarts=1, max_iters=2))
+    assert counts and max(counts) <= budget
+    assert len(est.trace) == 3
+
+
+def test_objective_memory_does_not_grow_with_columns(monkeypatch):
+    # (2, N): M_{0} has C(N, 2) column pairs a row, which one block used to hold at once
+    monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 1 << 16)
+    peaks = []
+    for n in (300, 1200):
+        rng = np.random.default_rng(n)
+        phi = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
+        value = _ensemble_objective((2, n), 2)
+        tracemalloc.start()
+        try:
+            got = float(value(phi))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        weights = np.sum(np.abs(phi) ** 2, axis=1)
+        want = math.fsum(w * sg.measure_F(sg.BoxTensor((2, n), row / math.sqrt(w))).value
+                         for w, row in zip(weights, phi))
+        assert got == pytest.approx(want, rel=1e-10)
+    assert peaks[1] - peaks[0] < 3e6
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3)])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_ensemble_objective_near_product_states_matches_exact_sum(dims, eps):
+    # worst relative errors measured over these states: 3e-14, 3.4e-11 and 5.1e-8
+    for seed in (1, 2, 3):
+        st = near_product_state(dims, eps, seed)
+        exact = oracles.exact_generator_sum(st.tensor, "class")
+        got = float(_ensemble_objective(dims, 1)(st.amps[None])) ** 2 / 2.0  # sqrt(2 sum)
+        assert abs(float((Fraction(got) - exact) / exact)) <= 2e-15 / eps
 
 
 # ------------------------------------------------------------------ roof search
@@ -215,13 +272,14 @@ def test_roof_config_validation():
 
 
 def test_roof_refuses_oversized_sweep_up_front(monkeypatch):
-    # 3 qubits at rank 3, K = 6: 2 * (2 K r) candidates x K rows x 18 minors
+    # 3 qubits at rank 3, K = 6: 2 * (2 K r) candidates x K rows x 18 minors = 7776,
+    # plus the 36 x 36 poll's 36^3 // 256 = 182
     rho = sg.random_state("mixed", (2, 2, 2), seed=1, rank=3)
     cfg = sg.RoofConfig(restarts=1, max_iters=1)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7776)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7958)
     sg.roof_F(rho, cfg)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7775)
-    with pytest.raises(sg.ConfigError, match=r"K=6 and rank 3 .* 7776 > 7775"):
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7957)
+    with pytest.raises(sg.ConfigError, match=r"K=6 and rank 3 .* 7958 > 7957"):
         sg.roof_F(rho, cfg)
     monkeypatch.undo()
     with pytest.raises(sg.ConfigError, match="K=36 and rank 32"):
@@ -229,14 +287,14 @@ def test_roof_refuses_oversized_sweep_up_front(monkeypatch):
 
 
 def test_roof_search_count_includes_restarts_and_iters(monkeypatch):
-    # the whole search is counted: restarts x iterations x 7776 minors a sweep
+    # the whole search is counted: restarts x iterations x 7958 a sweep
     rho = sg.random_state("mixed", (2, 2, 2), seed=1, rank=3)
     cfg = sg.RoofConfig(restarts=3, max_iters=5)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7776)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7958)
     sg.roof_F(rho, cfg)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7776 - 1)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7958 - 1)
     with pytest.raises(sg.ConfigError,
-                       match=r"K=6 and rank 3 with 3 restarts of 5 iterations .* 116640 > 116639"):
+                       match=r"K=6 and rank 3 with 3 restarts of 5 iterations .* 119370 > 119369"):
         sg.roof_F(rho, cfg)
     monkeypatch.undo()
     # 4-qubit full rank passes one sweep but not 8 x 2000 of them
