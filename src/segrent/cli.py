@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -27,11 +26,13 @@ from .errors import ConfigError, DimensionError, SegrentError, StateFileError
 from .measures import MeasureConfig, measure_E, measure_F
 from .segre_ideal import (
     MinorSpec,
+    _slot_pairs,
     check_partition_commutativity,
     check_residual_scans,
     check_segre_scan,
-    enumerate_segre_generators,
+    enumerate_segre_generators,     # not called here; bench/tracer.py wraps it by this name
     segre_residual,
+    slot_generator_counts,
     t_variety_residual,
 )
 from .tensor_core import (
@@ -49,6 +50,7 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_PIPE = 128 + 13        # as a shell reports a process ended by SIGPIPE
 AMPLITUDE_CAP = 1 << 20     # largest state that gen-state builds from --dims
+_SPECS = "\0specs"          # stands in a generators report for its spec list
 
 
 # ---------------------------------------------------------------- state files
@@ -221,14 +223,35 @@ def _cmd_separable(args, argv) -> dict:
 
 def _cmd_generators(args, argv) -> dict:
     dims = Dims(args.dims)
-    specs = enumerate_segre_generators(dims)
+    per_slot = slot_generator_counts(dims)
     results = {
         "dims": list(dims.sizes),
-        "count": len(specs),
-        "per_slot": dict(Counter(str(s.slot) for s in specs)),
-        "specs": [{"slot": s.slot, "pair": [list(t) for t in s.pair]} for s in specs],
+        "count": sum(per_slot),
+        "per_slot": {str(j): n for j, n in enumerate(per_slot) if n},   # none for one party
+        "specs": _SPECS if dims.m > 1 else [],
     }
-    return _envelope("generators", argv, results, None, {"dims": list(dims.sizes)})
+    report = _Report(_envelope("generators", argv, results, None, {"dims": list(dims.sizes)}))
+    report.raw = {json.dumps(_SPECS): _spec_text(dims)}
+    return report
+
+
+class _Report(dict):
+    """A report; its ``raw`` maps the JSON text of each placeholder in it to the chunks of
+    text that the writer puts in its place."""
+
+
+def _spec_text(dims: Dims):
+    """Chunks of the spec list as ``json.dump(indent=2)`` writes it in a generators report,
+    from one snippet per flat index, so no spec is built as an object."""
+    snippet = [json.dumps(k, indent=2).replace("\n", "\n" + " " * 10)  # a pair member's depth
+               for k in np.stack(np.unravel_index(np.arange(dims.total), dims.sizes), -1).tolist()]
+    head = "[\n      "
+    for j, a, b in _slot_pairs(dims):
+        yield head + ",\n      ".join(
+            f'{{\n        "pair": [\n          {snippet[x]},\n          {snippet[y]}\n'
+            f'        ],\n        "slot": {j}\n      }}' for x, y in zip(a.tolist(), b.tolist()))
+        head = ",\n      "
+    yield "\n    ]"
 
 
 def _cmd_roof(args, argv) -> dict:
@@ -354,12 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
 class _BufferedText:
     """Hands ``out`` the encoder's small chunks about 64 KiB at a time, so an unbuffered
     stdout makes one write call per 64 KiB rather than one per chunk, and the report is
-    never held whole."""
+    never held whole. A chunk that is a key of ``raw`` is replaced by that key's chunks."""
 
-    def __init__(self, out, size: int = 1 << 16):
-        self.out, self.size, self.parts, self.held = out, size, [], 0
+    def __init__(self, out, raw=None, size: int = 1 << 16):
+        self.out, self.raw, self.size, self.parts, self.held = out, raw or {}, size, [], 0
 
     def write(self, text: str) -> None:
+        if self.raw and text in self.raw:     # checked only while a placeholder is pending
+            for part in self.raw.pop(text):
+                self.write(part)
+            return
         self.parts.append(text)
         self.held += len(text)
         if self.held >= self.size:
@@ -379,7 +406,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         report = args.handler(args, argv)
-        out = _BufferedText(sys.stdout)
+        out = _BufferedText(sys.stdout, getattr(report, "raw", None))
         # inputs are checked finite, so a NaN here is an internal error
         json.dump(report, out, sort_keys=True, indent=2, allow_nan=False)
         out.write("\n")

@@ -17,9 +17,9 @@ bound of Chen, Albeverio & Fei, PRL 95, 040504, 2005). The search stops
 before its next restart once the best value is within GAP_TOL of it.
 The search objective sums the 2x2 minors (:func:`segrent.segre_ideal.minors`) of
 the flattenings M_S of a sweep's candidate rows in the residual scan's bounded blocks.
-A search whose restarts x sweeps would count more than SEARCH_MINOR_CAP minors, a
-sweep's poll counting (2Kr)^3 / 256, is refused up front, and so is a state of total
-dimension above ROOF_DIM_CAP, before rho is diagonalized.
+A search whose restarts x sweeps would count more than SEARCH_MINOR_CAP minors (a
+sweep's poll counts (2Kr)^3 / 256, a sweep at least _SWEEP_FLOOR) is refused up front,
+and so is a state of total dimension above ROOF_DIM_CAP, before rho is diagonalized.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ _INITIAL_STEP = 0.5
 _VALUE_FLOOR = 1e-12     # objective is nonnegative; stop a restart at ~0
 GAP_TOL = 1e-6           # no further restart once the value is this close to the lower bound
 SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate, poll included
+_SWEEP_FLOOR = 256          # least count of a sweep: its fixed cost, ~0.15 ms, in minors
 ROOF_DIM_CAP = 1 << 11      # largest total dimension d whose d x d rho is diagonalized
 
 
@@ -217,8 +218,8 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     to its own stop, recorded in ``restart_stops``. Deterministic for a
     fixed seed (reduced mod 2^64): restart seeds come from fixed seed-sequence
     splitting, so results do not depend on scheduling. Raises ConfigError before the
-    search if restarts x max_iters sweeps of 2 (2Kr) candidates x K rows, plus a (2Kr)^3
-    / 256 poll each, would count more than SEARCH_MINOR_CAP minors, and raises
+    search if restarts x max_iters sweeps (2 (2Kr) candidates x K rows plus a (2Kr)^3 / 256
+    poll, at least _SWEEP_FLOOR) would count more than SEARCH_MINOR_CAP minors, and raises
     DimensionError before rho is diagonalized if its total dimension exceeds ROOF_DIM_CAP.
     """
     check_roof_dims(rho.dims)
@@ -238,7 +239,7 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
                 for c in enumerate_perm_classes(len(sizes))]
         sweep = 2 * n_params * k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows)
         # a sweep's 2Kr x 2Kr poll draw and QR take about as long as n_params^3 / 256 minors
-        search = cfg.restarts * cfg.max_iters * (sweep + n_params ** 3 // 256)
+        search = cfg.restarts * cfg.max_iters * max(sweep + n_params ** 3 // 256, _SWEEP_FLOOR)
         if search > SEARCH_MINOR_CAP:
             raise ConfigError(f"a search at ensemble size K={k} and rank {r} with {cfg.restarts} "
                               f"restarts of {cfg.max_iters} iterations would count {search} > "

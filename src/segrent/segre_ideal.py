@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, GeneratorSpecError, PartitionError
-from .tensor_core import (BoxTensor, DimsLike, as_dims, check_multi_index, check_subset,
+from .tensor_core import (BoxTensor, Dims, DimsLike, as_dims, check_multi_index, check_subset,
                           flattening, multi_index, segre_embed)
 
 __all__ = ["MembershipReport", "MinorSpec", "PermClass", "check_partition_commutativity",
@@ -98,31 +98,46 @@ def iter_segre_generators(dims: DimsLike) -> Iterator[MinorSpec]:
     because their generator is identically zero.
     """
     dims = as_dims(dims)
+    for j, a, b in _slot_pairs(dims):
+        k, l = (np.stack(np.unravel_index(x, dims.sizes), axis=-1).tolist() for x in (a, b))
+        yield from (MinorSpec(j, pair) for pair in zip(k, l))
+
+
+def _slot_pairs(dims: Dims):
+    """(j, a, b) blocks of at most 4096 flat pairs a < b of the slot-j generators, in
+    order: the pairs in the triangle's blocks that differ at slot j and off it (b != a + step).
+    Callers decode a block's rows at once, so they never turn 2^20 pairs into tuples."""
     if dims.m < 2:          # one party has no generators; skip its N^2 / 2 pairs
         return
-    indices = list(itertools.product(*[range(n) for n in dims.sizes]))
-    for j in range(dims.m):
-        for a, k in enumerate(indices):
-            for l in indices[a + 1:]:
-                if k[j] != l[j] and k[:j] + k[j + 1:] != l[:j] + l[j + 1:]:
-                    yield MinorSpec(j, (k, l))
+    for j, n in enumerate(dims.sizes):
+        stride = math.prod(dims.sizes[j + 1:])
+        for a, b in _pairs((dims.total,), _PAIR_BLOCK_BUDGET):
+            step = (b // stride % n - a // stride % n) * stride
+            keep = (step != 0) & (a + step != b)
+            a, b = a[keep], b[keep]
+            for s in range(0, a.size, 4096):
+                yield j, a[s:s + 4096], b[s:s + 4096]
+
+
+def slot_generator_counts(dims: DimsLike) -> list[int]:
+    """Slot generators per slot, C(N_j, 2) D_j (D_j - 1) with D_j = total / N_j. Dims with
+    more than MATERIALIZE_CAP in all are refused (DimensionError) before any is built."""
+    dims = as_dims(dims)
+    counts = [math.comb(n, 2) * (dims.total // n) * (dims.total // n - 1) for n in dims.sizes]
+    if sum(counts) > MATERIALIZE_CAP:
+        raise DimensionError(f"refusing to materialize {sum(counts)} > {MATERIALIZE_CAP} "
+                             f"generators for dims {dims.sizes}; use iter_segre_generators")
+    return counts
 
 
 def segre_generator_count(dims: DimsLike) -> int:
-    """Number of slot generators: sum_j C(N_j, 2) D_j (D_j - 1), D_j = total / N_j."""
-    dims = as_dims(dims)
-    return sum(math.comb(n, 2) * (dims.total // n) * (dims.total // n - 1)
-               for n in dims.sizes)
+    """Number of slot generators, refused as :func:`slot_generator_counts` refuses."""
+    return sum(slot_generator_counts(dims))
 
 
 def enumerate_segre_generators(dims: DimsLike) -> list[MinorSpec]:
     """Materialize :func:`iter_segre_generators` (empty for one party)."""
-    dims = as_dims(dims)
-    count = segre_generator_count(dims)
-    if count > MATERIALIZE_CAP:
-        raise DimensionError(
-            f"refusing to materialize {count} > {MATERIALIZE_CAP} generators "
-            f"for dims {dims.sizes}; use iter_segre_generators")
+    slot_generator_counts(dims)
     return list(iter_segre_generators(dims))
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import segrent as sg
 from segrent import cli, convex_roof, segre_ideal
 
+import oracles
 from conftest import dropped_tail_state, werner_state
 
 
@@ -138,6 +140,52 @@ def test_generators_command(capsys):
     assert report["results"]["count"] == 4
     assert report["results"]["per_slot"] == {"0": 2, "1": 2}
     assert len(report["results"]["specs"]) == 4
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (5,), (2,) * 6,
+                                  (3,) * 4, (2, 3, 4, 5)])
+def test_generators_report_bytes(capsys, dims):
+    # the whole report, byte for byte, as the json module writes it from the oracle's specs
+    pairs = oracles.brute_segre_pairs(dims)
+    dims_arg = ",".join(map(str, dims))
+    per_slot = {}
+    for j, _, _ in pairs:
+        per_slot[str(j)] = per_slot.get(str(j), 0) + 1
+    expected = {
+        "tool": {"name": "segrent", "version": sg.__version__},
+        "command": "generators",
+        "argv": ["generators", "--dims", dims_arg],
+        "input": None,
+        "config": {"dims": list(dims)},
+        "results": {"dims": list(dims), "count": len(pairs), "per_slot": per_slot,
+                    "specs": [{"slot": j, "pair": [list(k), list(l)]} for j, k, l in pairs]},
+    }
+    code, out, err = run_cli(capsys, "generators", "--dims", dims_arg)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_generators_report_memory(monkeypatch):
+    # 8 qubits: 130,048 specs and a 45.6 MB report, written as it is made
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert cli.main(["generators", "--dims", "2,2,2,2,2,2,2,2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 45_647_460
+    assert peak < 16e6
 
 
 def test_roof_command_on_werner(tmp_path, capsys):
@@ -417,6 +465,11 @@ def test_roof_refused_by_sweep_size_up_front(tmp_path, capsys):
     # 2^28 minors alone, and a 32768 x 32768 poll matrix of 8.6 GB
     (werner_state(0.5), ("--ensemble", "4096", "--restarts", "1", "--iters", "1"),
      "K=4096 and rank 4 with 1 restarts of 1 iterations would count"),
+    # 34 counted units a sweep, but each sweep counts at least _SWEEP_FLOOR = 256 for its
+    # fixed cost; counted at 34 a sweep, this search was accepted and ran for minutes
+    (sg.random_state("mixed", (2, 2), seed=1, rank=2),
+     ("--ensemble", "2", "--restarts", "100000", "--iters", "78"),
+     "K=2 and rank 2 with 100000 restarts of 78 iterations would count 1996800000 >"),
 ])
 def test_roof_refused_by_search_size_up_front(tmp_path, capsys, rho, argv, fragment):
     path = tmp_path / "mixed.json"

@@ -302,6 +302,18 @@ def test_roof_search_count_includes_restarts_and_iters(monkeypatch):
         sg.roof_F(sg.random_state("mixed", (2,) * 4, seed=4), sg.RoofConfig())
 
 
+def test_roof_search_count_floors_each_sweep(monkeypatch):
+    # two qubits at rank 2, K = 2: 2 * 8 candidates x 2 rows x 1 minor = 32, plus the
+    # 8 x 8 poll's 8^3 // 256 = 2, counts _SWEEP_FLOOR = 256 a sweep
+    rho = sg.random_state("mixed", (2, 2), seed=1, rank=2)
+    cfg = sg.RoofConfig(ensemble_size=2, restarts=3, max_iters=5)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 256)
+    sg.roof_F(rho, cfg)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 256 - 1)
+    with pytest.raises(sg.ConfigError, match=r"K=2 and rank 2 .* 3840 > 3839"):
+        sg.roof_F(rho, cfg)
+
+
 def test_roof_notes_mention_size_cap():
     est = sg.roof_F(werner_state(0.5), sg.RoofConfig(ensemble_size=4,
                                                      restarts=1, seed=0))

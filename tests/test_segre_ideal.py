@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ def test_generator_single_party_empty():
     assert sg.enumerate_segre_generators((2,)) == []
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 3)])
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 3), (2, 3, 4), (4, 3), (2, 2, 2, 2)])
 def test_generators_match_loop_oracle(dims):
     got = [(s.slot, s.pair[0], s.pair[1]) for s in sg.enumerate_segre_generators(dims)]
     assert got == oracles.brute_segre_pairs(dims)
@@ -47,6 +48,23 @@ def test_materialization_cap():
     # the streaming form still works above the cap
     first = next(iter(sg.iter_segre_generators((2,) * 13)))
     assert first.slot == 0
+
+
+def test_first_generator_memory_does_not_grow():
+    # the pairs are decoded in bounded blocks, never one multi-index list of every index
+    peaks = []
+    for qubits in (12, 13, 14):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            first = next(sg.iter_segre_generators((2,) * qubits))
+            assert time.perf_counter() - start < 1.0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert first == sg.MinorSpec(0, ((0,) * qubits, (1,) + (0,) * (qubits - 2) + (1,)))
+    assert max(peaks) < 64e6
+    assert peaks[2] - peaks[0] < 1e6
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 3, 2), (2, 2, 2, 2)])
