@@ -104,19 +104,18 @@ def iter_segre_generators(dims: DimsLike) -> Iterator[MinorSpec]:
 
 
 def _slot_pairs(dims: Dims):
-    """(j, a, b) blocks of at most 4096 flat pairs a < b of the slot-j generators, in
-    order: the pairs in the triangle's blocks that differ at slot j and off it (b != a + step).
-    Callers decode a block's rows at once, so they never turn 2^20 pairs into tuples."""
+    """Non-empty (j, a, b) blocks of flat pairs a < b of the slot-j generators, in order: the
+    pairs of the triangle's 4096-pair blocks that differ at slot j and off it (b != a + step).
+    Callers decode a block's rows at once, so they never hold more than 4096 pairs."""
     if dims.m < 2:          # one party has no generators; skip its N^2 / 2 pairs
         return
     for j, n in enumerate(dims.sizes):
         stride = math.prod(dims.sizes[j + 1:])
-        for a, b in _pairs((dims.total,), _PAIR_BLOCK_BUDGET):
+        for a, b in _pairs(dims.total, 4096):
             step = (b // stride % n - a // stride % n) * stride
             keep = (step != 0) & (a + step != b)
-            a, b = a[keep], b[keep]
-            for s in range(0, a.size, 4096):
-                yield j, a[s:s + 4096], b[s:s + 4096]
+            if keep.any():
+                yield j, a[keep], b[keep]
 
 
 def slot_generator_counts(dims: DimsLike) -> list[int]:
@@ -128,11 +127,6 @@ def slot_generator_counts(dims: DimsLike) -> list[int]:
         raise DimensionError(f"refusing to materialize {sum(counts)} > {MATERIALIZE_CAP} "
                              f"generators for dims {dims.sizes}; use iter_segre_generators")
     return counts
-
-
-def segre_generator_count(dims: DimsLike) -> int:
-    """Number of slot generators, refused as :func:`slot_generator_counts` refuses."""
-    return sum(slot_generator_counts(dims))
 
 
 def enumerate_segre_generators(dims: DimsLike) -> list[MinorSpec]:
@@ -190,32 +184,31 @@ def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
     return float(2.0 * np.dot(x[:-1], tail[1:]))
 
 
-def _pairs(sizes: Sequence[int], budget: int):
-    """Blocks of at most ``budget`` pairs r1 < r2 of multi-indices differing in every slot,
-    decoded from positions: x0 < y0 in the first slot outermost, the last slot fastest.
-    Row pairs of M_S take the row shape; column pairs c1 < c2 of range(n) take ``(n,)``."""
-    rest, budget = math.prod(n * (n - 1) for n in sizes[1:]), max(1, budget)
-    starts = np.cumsum([0] + [(sizes[0] - 1 - x0) * rest for x0 in range(sizes[0] - 1)])
-
-    def block(p0):          # starts[x0] is the position of first-slot value x0's first pair
-        t = np.arange(p0, min(p0 + budget, starts[-1]))
-        x0 = np.searchsorted(starts, t, side="right") - 1
-        t, r1, r2, place = t - starts[x0], 0, 0, 1
-        for n in reversed(sizes[1:]):
-            t, q = np.divmod(t, n * (n - 1))
-            x, y = np.divmod(q, n - 1)
-            r1, r2, place = r1 + x * place, r2 + (y + (y >= x)) * place, place * n
-        return r1 + x0 * place, r2 + (x0 + 1 + t) * place
-
-    return map(block, range(0, starts[-1], budget))
+def _pairs(n: int, budget: int):
+    """Blocks of at most ``budget`` pairs x < y of range(n), in np.triu_indices(n, 1) order."""
+    # starts[x] locates (x, x + 1); a cumsum, since x (2n - x - 1) // 2 cost roof 0.1 MB of RSS
+    starts, count, budget = np.cumsum(n - np.arange(n)) - n, n * (n - 1) // 2, max(1, budget)
+    for p in range(0, count, budget):
+        t = np.arange(p, min(p + budget, count))
+        x = np.searchsorted(starts, t, side="right") - 1
+        t += x + 1 - starts[x]          # in place: t becomes y, and no third block is held
+        yield x, t
 
 
 def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
-    """(row pairs of ``row_shape``, column pairs of ``(n_cols,)``) blocks of at most
-    _PAIR_BLOCK_BUDGET minors over a stack of ``batch`` matrices, or of one pair each."""
-    for rows in _pairs(row_shape, _PAIR_BLOCK_BUDGET // batch // n_cols):
-        for cols in _pairs((n_cols,), _PAIR_BLOCK_BUDGET // batch // rows[0].size):
-            yield rows, cols
+    """Non-empty (row pairs of ``row_shape`` differing in every slot, column pairs of
+    range(n_cols)) blocks of at most _PAIR_BLOCK_BUDGET minors over a stack of ``batch``
+    matrices, or of one pair each."""
+    for r1, r2 in _pairs(math.prod(row_shape), _PAIR_BLOCK_BUDGET // batch // n_cols):
+        if len(row_shape) > 1:          # the pairs of one slot always differ
+            place = 1
+            for n in reversed(row_shape):   # each slot tests only the pairs left by the last
+                keep = r1 // place % n != r2 // place % n
+                r1, r2, place = r1[keep], r2[keep], place * n
+            if not r1.size:
+                continue
+        for cols in _pairs(n_cols, _PAIR_BLOCK_BUDGET // batch // r1.size):
+            yield (r1, r2), cols
 
 
 def minors(mat: np.ndarray, rows, cols) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -51,26 +52,48 @@ def test_materialization_cap():
 
 
 def test_first_generator_memory_does_not_grow():
-    # the pairs are decoded in bounded blocks, never one multi-index list of every index
-    peaks = []
-    for qubits in (12, 13, 14):
+    # the pairs are walked in 4096-pair blocks, never one multi-index list of every index
+    # (about 12 MB at 16 qubits) nor a 2^20-pair block (42 MB)
+    for qubits in (12, 13, 14, 16):
         tracemalloc.start()
         try:
             start = time.perf_counter()
             first = next(sg.iter_segre_generators((2,) * qubits))
             assert time.perf_counter() - start < 1.0
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert tracemalloc.get_traced_memory()[1] < 4e6
         finally:
             tracemalloc.stop()
         assert first == sg.MinorSpec(0, ((0,) * qubits, (1,) + (0,) * (qubits - 2) + (1,)))
-    assert max(peaks) < 64e6
-    assert peaks[2] - peaks[0] < 1e6
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 3, 2), (2, 2, 2, 2)])
 def test_generator_count_formula(dims):
-    assert segre_ideal.segre_generator_count(dims) == \
-        len(sg.enumerate_segre_generators(dims))
+    specs = sg.enumerate_segre_generators(dims)
+    per_slot = segre_ideal.slot_generator_counts(dims)
+    assert sum(per_slot) == len(specs)
+    assert per_slot == [sum(s.slot == j for s in specs) for j in range(len(dims))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_pair_walk_is_the_triangle_in_order(n):
+    want = list(zip(*(z.tolist() for z in np.triu_indices(n, 1))))
+    for budget in (1, 5, math.comb(n, 2), 1 << 20):
+        blocks = list(segre_ideal._pairs(n, budget))
+        assert all(0 < x.size <= max(1, budget) for x, _ in blocks)
+        assert [p for x, y in blocks for p in zip(x.tolist(), y.tolist())] == want
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
+def test_row_pair_blocks_differ_in_every_slot(monkeypatch, shape):
+    every = list(itertools.product(*map(range, shape)))
+    want = [(every.index(k), every.index(l)) for k, l in itertools.combinations(every, 2)
+            if all(x != y for x, y in zip(k, l))]
+    for budget in (segre_ideal._PAIR_BLOCK_BUDGET, 7):
+        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
+        # two columns have one column pair, so each row block comes once
+        blocks = [rows for rows, _ in segre_ideal._pair_blocks(shape, 2)]
+        assert all(r1.size for r1, _ in blocks)
+        assert [p for r1, r2 in blocks for p in zip(r1.tolist(), r2.tolist())] == want
 
 
 def test_minor_spec_invariants():
