@@ -55,18 +55,16 @@ _SPECS = "\0specs"          # stands in a generators report for its spec list
 
 # ---------------------------------------------------------------- state files
 
-def _as_pairs(vec) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec).reshape(-1)]
+def _as_pairs(values: np.ndarray) -> list:
+    """``values`` as nested lists of its shape whose entries are [re, im] pairs."""
+    return np.stack((values.real, values.imag), -1).tolist()
 
 
 def state_file_dict(obj) -> dict:
     """JSON document for a BoxTensor or DensityMatrix."""
-    doc = {"dims": list(obj.dims.sizes), "layout": "row-major", "index_base": 0}
-    if isinstance(obj, BoxTensor):
-        doc["amps"] = _as_pairs(obj.amps)
-    else:
-        doc["rho"] = [_as_pairs(row) for row in obj.mat]
-    return doc
+    pure = isinstance(obj, BoxTensor)
+    return {"dims": list(obj.dims.sizes), "layout": "row-major", "index_base": 0,
+            "amps" if pure else "rho": _as_pairs(obj.amps if pure else obj.mat)}
 
 
 def _entries(value, shape: tuple[int, ...], where: str):
@@ -374,27 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _BufferedText:
-    """Hands ``out`` the encoder's small chunks about 64 KiB at a time, so an unbuffered
-    stdout makes one write call per 64 KiB rather than one per chunk, and the report is
-    never held whole. A chunk that is a key of ``raw`` is replaced by that key's chunks."""
+class _Spliced:
+    """Writes what it is given to ``out``, but the chunks of ``raw[text]`` for a key ``text``."""
 
-    def __init__(self, out, raw=None, size: int = 1 << 16):
-        self.out, self.raw, self.size, self.parts, self.held = out, raw or {}, size, [], 0
+    def __init__(self, out, raw: dict):
+        self.out, self.raw = out, raw
 
     def write(self, text: str) -> None:
-        if self.raw and text in self.raw:     # checked only while a placeholder is pending
-            for part in self.raw.pop(text):
-                self.write(part)
-            return
-        self.parts.append(text)
-        self.held += len(text)
-        if self.held >= self.size:
-            self.flush()
-
-    def flush(self) -> None:
-        self.out.write("".join(self.parts))
-        self.parts, self.held = [], 0
+        for part in self.raw.pop(text, (text,)):
+            self.out.write(part)
 
 
 def main(argv=None) -> int:
@@ -404,27 +390,35 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    report = None
     try:
         report = args.handler(args, argv)
-        out = _BufferedText(sys.stdout, getattr(report, "raw", None))
+        with contextlib.suppress(AttributeError):     # a stand-in for stdout may lack it
+            # so stdout writes about 8 KiB at a time, also under PYTHONUNBUFFERED
+            sys.stdout.reconfigure(line_buffering=False, write_through=False)
+        raw = getattr(report, "raw", None)
         # inputs are checked finite, so a NaN here is an internal error
-        json.dump(report, out, sort_keys=True, indent=2, allow_nan=False)
-        out.write("\n")
-        out.flush()
+        json.dump(report, _Spliced(sys.stdout, raw) if raw else sys.stdout,
+                  sort_keys=True, indent=2, allow_nan=False)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
-        # so the shutdown flush of what stdout still holds does not raise again; a stdout
-        # without a file descriptor (a test's capture) has no such flush
-        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return EXIT_PIPE
+        code = EXIT_PIPE
     except (SegrentError, OSError) as exc:
         print(f"segrent: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code = EXIT_INPUT
     except Exception as exc:
         print(f"segrent: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+        code = EXIT_INTERNAL
+    else:
+        return EXIT_OK
+    if report is not None:
+        # what stdout holds of a failed report goes nowhere and its shutdown flush cannot
+        # raise again; a stdout without a file descriptor (a test's capture) keeps it
+        with contextlib.suppress(AttributeError, OSError, ValueError), \
+                open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

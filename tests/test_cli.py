@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -570,6 +571,69 @@ def test_closed_pipe_without_file_descriptor(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert cli.main(["generators", "--dims", "2,2"]) == cli.EXIT_PIPE
     assert capsys.readouterr().err == ""
+
+
+def test_write_through_stdout_gets_the_report_in_large_writes(monkeypatch):
+    # stdout as PYTHONUNBUFFERED makes it: a text layer that writes through to a raw stream
+    class CountingRaw(io.RawIOBase):
+        def __init__(self):
+            self.writes, self.data = 0, bytearray()
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            self.writes += 1
+            self.data += b
+            return len(b)
+
+    raw = CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    assert cli.main(["gen-state", "--name", "w", "--dims", "2,2,2,2,2,2,2,2,2,2"]) == 0
+    assert len(raw.data) == 35_125
+    # one write per JSON token would be thousands
+    assert raw.writes <= len(raw.data) // 4096 + 2
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_failed_report_prints_nothing(tmp_path, ghz3, unbuffered):
+    # json.dump meets a NaN part way through the report; what it wrote is not printed
+    path = tmp_path / "ghz.json"
+    cli.write_state_file(str(path), ghz3)
+    child = ("import dataclasses, sys\n"
+             "from segrent import cli\n"
+             "real = cli.measure_F\n"
+             "cli.measure_F = lambda state, cfg: dataclasses.replace(real(state, cfg),\n"
+             "                                                        value=float('nan'))\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sg.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.run([sys.executable, "-c", child, "measure", "--in", str(path)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_INTERNAL
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("segrent: internal error:"), lines
+
+
+def test_failed_report_on_stdout_without_file_descriptor(tmp_path, monkeypatch, capsys, ghz3):
+    class Sink:     # no fileno, no reconfigure
+        def write(self, text):
+            pass
+
+        def flush(self):
+            pass
+
+    path = tmp_path / "ghz.json"
+    cli.write_state_file(str(path), ghz3)
+    real = cli.measure_F
+    monkeypatch.setattr(cli, "measure_F", lambda state, cfg: dataclasses.replace(
+        real(state, cfg), value=float("nan")))
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert cli.main(["measure", "--in", str(path)]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("segrent: internal error:")
 
 
 # ---------------------------------------------------------------- determinism
