@@ -5,21 +5,22 @@ average of :func:`segrent.measures.measure_F`. Decompositions are swept
 through the standard isometry parameterization: if rho has kept
 eigenpairs (lambda_i, v_i), every size-K decomposition arises from a
 K x r isometry V via phi_k = sum_i V_ki sqrt(lambda_i) v_i, with weights
-|phi_k|^2. A derivative-free pattern descent with random restarts
-searches over V itself, retracting a complex K x r matrix Z to V by QR
-(Rothlisberger, Lehmann & Loss, PRL 102, 100502, 2009). The returned
-value is always the verified average of a concrete decomposition, hence
-a certified upper bound on the infimum. A lower bound comes from the cuts
-S|S-bar of the exchange classes: by Minkowski the roof is at least
+|phi_k|^2. A Riemannian L-BFGS descent with random restarts searches
+over V itself, retracting each trial point to an isometry by QR
+(Rothlisberger, Lehmann & Loss, PRL 102, 100502, 2009). Its values, and so
+every line-search decision, sum the 2x2 minors (:func:`segrent.segre_ideal.minors`)
+of the flattenings M_S in the residual scan's bounded blocks; a Gram form of the
+same sum gives only the gradient. The returned value is always the verified
+average of a concrete decomposition, hence a certified upper bound on the
+infimum. A lower bound comes from the cuts S|S-bar of the exchange classes:
+by Minkowski the roof is at least
 sqrt(sum_S L_S^2), where L_S bounds the concurrence roof of the cut from
 below (Mintert & Buchleitner, PRL 98, 140505, 2007; the PPT and realignment
 bound of Chen, Albeverio & Fei, PRL 95, 040504, 2005). The search stops
 before its next restart once the best value is within GAP_TOL of it.
-The search objective sums the 2x2 minors (:func:`segrent.segre_ideal.minors`) of
-the flattenings M_S of a sweep's candidate rows in the residual scan's bounded blocks.
-A search whose restarts x sweeps would count more than SEARCH_MINOR_CAP minors (a
-sweep's poll counts (2Kr)^3 / 256, a sweep at least _SWEEP_FLOOR) is refused up front,
-and so is a state of total dimension above ROOF_DIM_CAP, before rho is diagonalized.
+A search whose restarts x iterations would count more than SEARCH_MINOR_CAP minors
+is refused up front, and so is a state of total dimension above ROOF_DIM_CAP, before
+rho is diagonalized.
 """
 
 from __future__ import annotations
@@ -41,17 +42,16 @@ __all__ = ["RoofConfig", "RoofEstimate", "eigen_ensemble", "ensemble_from_isomet
 
 RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
-_INITIAL_STEP = 0.5
-_VALUE_FLOOR = 1e-12     # objective is nonnegative; stop a restart at ~0
 GAP_TOL = 1e-6           # no further restart once the value is this close to the lower bound
-SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate, poll included
-_SWEEP_FLOOR = 256          # least count of a sweep: its fixed cost, ~0.15 ms, in minors
+_ROUNDING = 1e-12        # a lower bound above the value by at most this is rounding
+SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate
+_SWEEP_FLOOR = 256          # least count of an iteration: its fixed cost, in minors
 ROOF_DIM_CAP = 1 << 11      # largest total dimension d whose d x d rho is diagonalized
 
 
 @dataclass(frozen=True)
 class RoofConfig:
-    """Search budget for the decomposition sweep.
+    """Search budget for the decomposition search.
 
     ensemble_size of None means min(2 rank, rank + 4), chosen because
     optimal ensembles can need more members than the rank while unbounded
@@ -61,7 +61,6 @@ class RoofConfig:
     ensemble_size: Optional[int] = None
     restarts: int = 8
     max_iters: int = 2000
-    step_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -71,16 +70,15 @@ class RoofConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.step_tolerance > 0.0:
-            raise ConfigError("step_tolerance must be positive")
 
 
 @dataclass(frozen=True)
 class RoofEstimate:
     """Best decomposition found, a lower bound on the roof and the descent diagnostics.
 
-    ``restart_stops`` gives each restart's stop reason: "max_iters", "step" (the step fell
-    to the tolerance) or "floor" (the value reached ~0).
+    ``trace`` holds the best value before the search and after each of its iterations.
+    ``restart_stops`` gives each restart's stop reason: "max_iters", "step" (no decrease
+    along the negative gradient) or "floor" (the value reached ~0).
     """
 
     value: float
@@ -146,7 +144,7 @@ def _rows_decomposition(dims, phi: np.ndarray) -> Decomposition:
 
 
 def _ensemble_objective(sizes: tuple[int, ...], batch: int):
-    """Batched sum_k of the unnormalized exchange measure of row phi_k.
+    """(value, grad) of the batched sum_k of the unnormalized exchange measure of row phi_k.
 
     Every generator of class S is a 2x2 minor of the flattening M_S of the
     row, and each minor is the generator of exactly two index pairs, so a
@@ -155,22 +153,41 @@ def _ensemble_objective(sizes: tuple[int, ...], batch: int):
     at most _PAIR_BLOCK_BUDGET minors over calls of up to ``batch`` rows. For
     unnormalized rows the per-row value sqrt(N sum |g|^2) already equals weight *
     measure of the normalized state, because the generators are quadratic.
+    ``grad`` of K rows is the gradient for Re tr(A^+ B) by the Gram form: the |minor|^2
+    sum of M_S is ssq_S = (||M_S||^4 - ||M_S M_S^+||^2) / 2, whose d / d conj(M_S) is
+    ||M_S||^2 M_S - M_S M_S^+ M_S. It cancels near product rows, so it only steers the
+    search, and a row whose ssq is <= 0 (the kink of the sqrt) gets a zero gradient.
     """
-    plan = []
-    for c in enumerate_perm_classes(len(sizes)):
+    m, plan = len(sizes), []
+    for c in enumerate_perm_classes(m):
+        order = [*c.swap_set, *(j for j in range(m) if j not in c.swap_set)]
         n_rows = math.prod(sizes[j] for j in c.swap_set)
-        plan.append((c.swap_set, list(_pair_blocks((n_rows,), math.prod(sizes) // n_rows, batch))))
+        plan.append((c.swap_set, list(_pair_blocks((n_rows,), math.prod(sizes) // n_rows, batch)),
+                     [sizes[j] for j in order], np.argsort([0, *(1 + j for j in order)])))
 
     def value(phi: np.ndarray) -> np.ndarray:          # (..., K, d) -> (...)
         ssq = np.zeros(phi.shape[:-1])
-        for rows, blocks in plan:
+        for rows, blocks, _, _ in plan:
             mat = flattening(phi, sizes, rows)
             for pairs in blocks:
                 g = minors(mat, *pairs)
                 ssq += np.sum((g * g.conj()).real, axis=(-2, -1))
         return np.sum(np.sqrt(2.0 * DEFAULT_NORM_F * ssq), axis=-1)
 
-    return value
+    def grad(phi: np.ndarray) -> np.ndarray:           # (K, d) -> (K, d)
+        k = len(phi)
+        norm2 = np.einsum("kd,kd->k", phi, phi.conj()).real
+        ssq, d_phi = np.zeros(k), len(plan) * norm2[:, None] * phi
+        for rows, _, shape, back in plan:
+            mat = flattening(phi, sizes, rows)
+            gram = mat @ mat.conj().transpose(0, 2, 1)
+            ssq += (norm2 ** 2 - np.sum((gram * gram.conj()).real, axis=(1, 2))) / 2.0
+            d_phi -= (gram @ mat).reshape(k, *shape).transpose(back).reshape(phi.shape)
+        # the real gradient is twice d / d conj: 2 d sqrt(2 N ssq) / d ssq = sqrt(2 N / ssq)
+        scale = np.divide(2.0 * DEFAULT_NORM_F, ssq, out=np.zeros(k), where=ssq > 0.0)
+        return np.sqrt(scale)[:, None] * d_phi
+
+    return value, grad
 
 
 def _lower_bound(rho: DensityMatrix) -> float:
@@ -209,18 +226,19 @@ def _lower_bound(rho: DensityMatrix) -> float:
 def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate:
     """Bracket [lower, value] of the mixed-state exchange measure.
 
-    Runs pattern descent over the QR-retracted K x r isometry from random
-    starts (plus Z = I, the eigen-decomposition, as the initial incumbent)
-    and reports the best decomposition average found, a certified upper
-    bound. ``lower`` is :func:`_lower_bound` of rho, or the value itself for a
-    pure input. Before each restart the search stops, with a note, once the
-    best value is within GAP_TOL of ``lower``; a restart that has begun runs
-    to its own stop, recorded in ``restart_stops``. Deterministic for a
-    fixed seed (reduced mod 2^64): restart seeds come from fixed seed-sequence
-    splitting, so results do not depend on scheduling. Raises ConfigError before the
-    search if restarts x max_iters sweeps (2 (2Kr) candidates x K rows plus a (2Kr)^3 / 256
-    poll, at least _SWEEP_FLOOR) would count more than SEARCH_MINOR_CAP minors, and raises
-    DimensionError before rho is diagonalized if its total dimension exceeds ROOF_DIM_CAP.
+    Runs the L-BFGS descent :func:`segrent._stiefel._descend` over the K x r isometry from
+    random starts (plus Z = I, the eigen-decomposition, as the initial incumbent) and reports
+    the best decomposition average found, a certified upper bound. ``lower`` is
+    :func:`_lower_bound` of rho, or the value itself for a pure input; a bound above the
+    value by at most _ROUNDING is reported as the value. Before each restart the search
+    stops, with a note, once the best value is within GAP_TOL of ``lower``; a restart that
+    has begun runs to its own stop, recorded in ``restart_stops``. Deterministic for a fixed
+    seed (reduced mod 2^64): restart seeds come from fixed seed-sequence splitting, so
+    results do not depend on scheduling. Raises ConfigError before the search if restarts x
+    max_iters iterations, each a gradient (K d (sum_S R_S + r) for the Gram products) and
+    _LINE_TRIALS trials of K rows of minors and a K x r retraction, at least _SWEEP_FLOOR,
+    would count more than SEARCH_MINOR_CAP minors, and DimensionError before rho is
+    diagonalized if its total dimension exceeds ROOF_DIM_CAP.
     """
     check_roof_dims(rho.dims)
     cfg = config or RoofConfig()
@@ -233,73 +251,50 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
              "all decomposition sizes", )
     trace, restart_bests, restart_stops, lower = [], [], [], None
     if r > 1:     # else every decomposition of a pure state repeats it up to phase
+        from ._stiefel import _LINE_TRIALS, _descend, _retract   # compiled only to search
         sizes, total = rho.dims.sizes, rho.dims.total
-        n_params = 2 * k * r
         rows = [math.prod(sizes[j] for j in c.swap_set)
                 for c in enumerate_perm_classes(len(sizes))]
-        sweep = 2 * n_params * k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows)
-        # a sweep's 2Kr x 2Kr poll draw and QR take about as long as n_params^3 / 256 minors
-        search = cfg.restarts * cfg.max_iters * max(sweep + n_params ** 3 // 256, _SWEEP_FLOOR)
+        trial = k * sum(math.comb(n, 2) * math.comb(total // n, 2) for n in rows) + k * r
+        iteration = k * total * (sum(rows) + r) + _LINE_TRIALS * trial
+        search = cfg.restarts * cfg.max_iters * max(iteration, _SWEEP_FLOOR)
         if search > SEARCH_MINOR_CAP:
             raise ConfigError(f"a search at ensemble size K={k} and rank {r} with {cfg.restarts} "
                               f"restarts of {cfg.max_iters} iterations would count {search} > "
                               f"{SEARCH_MINOR_CAP} minors")
         lower = _lower_bound(rho)
         w_rows = np.sqrt(dec.weights)[:, None] * np.array([s.amps for s in dec.states])
-        ensemble_value = _ensemble_objective(sizes, 2 * n_params * k)
+        rows_value, rows_grad = _ensemble_objective(sizes, k)
 
-        def isometries(thetas: np.ndarray) -> np.ndarray:
-            # rows hold Re Z then Im Z; V = Q diag(phase(diag R)) of Z = QR is
-            # continuous in Z, and Z = I gives V = I
-            z = (thetas[:, :k * r] + 1j * thetas[:, k * r:]).reshape(-1, k, r)
-            q, rr = np.linalg.qr(z)
-            d = np.diagonal(rr, axis1=-2, axis2=-1)
-            return q * (d / np.abs(d))[:, None, :]
+        def objective(v: np.ndarray) -> float:
+            return float(rows_value(v @ w_rows))
 
-        def objective(thetas: np.ndarray) -> np.ndarray:
-            return ensemble_value(isometries(thetas) @ w_rows)
+        def gradient(v: np.ndarray) -> np.ndarray:     # phi = V W chains to G W^+
+            return rows_grad(v @ w_rows) @ w_rows.conj().T
 
-        theta_best = np.concatenate([np.eye(k, r).ravel(), np.zeros(k * r)])
-        best = float(objective(theta_best[None])[0])
-        trace.append(best)
+        v_best = np.eye(k, r, dtype=complex)
+        best = objective(v_best)
+        trace.append(best)          # then each iteration's value, and their running minimum
         for seq in seed_sequence(cfg.seed).spawn(cfg.restarts):
             if best - lower <= GAP_TOL:
                 notes += (f"search stopped after {len(restart_bests)} of {cfg.restarts} "
                           f"restarts: value within {GAP_TOL:g} of the lower bound", )
                 break
-            rng = np.random.default_rng(seq)
-            theta = rng.standard_normal(n_params)
-            fval = float(objective(theta[None])[0])
-            step, iters = _INITIAL_STEP, 0
-            while iters < cfg.max_iters and step > cfg.step_tolerance \
-                    and fval > _VALUE_FLOOR:
-                # fresh orthonormal poll directions each sweep: axis-aligned
-                # polls stall on the |.|-kinks of the objective
-                directions, _ = np.linalg.qr(rng.standard_normal((n_params, n_params)))
-                cand = np.concatenate([theta + step * directions.T,
-                                       theta - step * directions.T])
-                vals = objective(cand)
-                pick = int(np.argmin(vals))
-                if vals[pick] < fval:
-                    theta = cand[pick]
-                    fval = float(vals[pick])
-                    step = min(step * 2.0, _INITIAL_STEP)
-                else:
-                    step *= 0.5
-                iters += 1
-                if fval < best:
-                    best = fval
-                    theta_best = theta
-                trace.append(best)
+            z = np.random.default_rng(seq).standard_normal((2, k, r))    # Re Z, then Im Z
+            v, fval, _, stop = _descend(objective, gradient, _retract(z[0] + 1j * z[1]),
+                                        cfg.max_iters, trace)
+            if fval < best:
+                best, v_best = fval, v
             restart_bests.append(fval)
-            restart_stops.append("floor" if fval <= _VALUE_FLOOR else
-                                 "step" if step <= cfg.step_tolerance else "max_iters")
+            restart_stops.append(stop)
 
-        dec = _rows_decomposition(rho.dims, isometries(theta_best[None])[0] @ w_rows)
+        dec = _rows_decomposition(rho.dims, v_best @ w_rows)
     value = float(math.fsum(w * measure_F(s).value
                             for w, s in zip(dec.weights, dec.states)))
-    return RoofEstimate(value, dec, tuple(trace) or (value,), tuple(restart_bests),
-                        value if lower is None else lower, tuple(restart_stops), notes)
+    if lower is None or value < lower <= value + _ROUNDING:
+        lower = value
+    return RoofEstimate(value, dec, tuple(np.minimum.accumulate(trace).tolist()) or (value,),
+                        tuple(restart_bests), lower, tuple(restart_stops), notes)
 
 
 def wootters_oracle(rho: DensityMatrix) -> float:

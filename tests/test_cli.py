@@ -460,14 +460,8 @@ def test_roof_refused_by_sweep_size_up_front(tmp_path, capsys):
 @pytest.mark.parametrize("rho,argv,fragment", [
     (werner_state(0.5), ("--restarts", "100000000"), "100000000 restarts of 2000"),
     (sg.random_state("mixed", (2,) * 4, seed=4), (), "K=20 and rank 16 with 8 restarts"),
-    # each sweep's 4096 x 4096 poll counts 4096^3 / 256 = 2^28 on top of 2^22 minors
-    (werner_state(0.5), ("--ensemble", "512", "--restarts", "8", "--iters", "8"),
-     "K=512 and rank 4 with 8 restarts of 8 iterations would count 17448304640 >"),
-    # 2^28 minors alone, and a 32768 x 32768 poll matrix of 8.6 GB
-    (werner_state(0.5), ("--ensemble", "4096", "--restarts", "1", "--iters", "1"),
-     "K=4096 and rank 4 with 1 restarts of 1 iterations would count"),
-    # 34 counted units a sweep, but each sweep counts at least _SWEEP_FLOOR = 256 for its
-    # fixed cost; counted at 34 a sweep, this search was accepted and ran for minutes
+    # 212 counted units an iteration, but each counts at least _SWEEP_FLOOR = 256 for its
+    # fixed cost, so these 7.8e6 iterations of about 0.6 ms each are refused
     (sg.random_state("mixed", (2, 2), seed=1, rank=2),
      ("--ensemble", "2", "--restarts", "100000", "--iters", "78"),
      "K=2 and rank 2 with 100000 restarts of 78 iterations would count 1996800000 >"),

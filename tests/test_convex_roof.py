@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import segrent as sg
-from segrent import cli, convex_roof, segre_ideal
+from segrent import _stiefel, cli, convex_roof, segre_ideal
 from segrent.convex_roof import _ensemble_objective, _lower_bound
 
 import oracles
@@ -94,7 +95,7 @@ def test_ensemble_objective_matches_oracle(dims, seed, monkeypatch):
     # the default budget holds each class in one block; 6 leaves one minor a row per block
     for budget in (segre_ideal._PAIR_BLOCK_BUDGET, 6):
         monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
-        got = _ensemble_objective(dims, 6)(phi)
+        got = _ensemble_objective(dims, 6)[0](phi)
         assert got.shape == (shape[0],)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -102,11 +103,11 @@ def test_ensemble_objective_matches_oracle(dims, seed, monkeypatch):
 @pytest.mark.parametrize("rho", [sg.random_state("mixed", (2, 2, 2), seed=1, rank=3),
                                  sg.random_state("mixed", (2, 16), seed=2, rank=2)])
 def test_objective_blocks_never_exceed_budget(monkeypatch, rho):
-    # a sweep evaluates 2 (2Kr) candidates of K = 4 rows, 5 minors a row in a block: that
-    # splits every class of (2, 2, 2), which have 6, and is below the 16 columns of M_{0}
-    # of (2, 16), so its column pairs are split too
+    # each value takes K = 4 rows, 5 minors a row in a block: that splits every class of
+    # (2, 2, 2), which have 6, and is below the 16 columns of M_{0} of (2, 16), so its
+    # column pairs are split too
     counts, real_minors = [], convex_roof.minors
-    budget = 2 * (2 * 4 * len(sg.eigen_ensemble(rho).weights)) * 4 * 5
+    budget = 4 * 5
 
     def counting(mat, rows, cols):
         counts.append(math.prod(mat.shape[:-2]) * rows[0].size * cols[0].size)
@@ -126,7 +127,7 @@ def test_objective_memory_does_not_grow_with_columns(monkeypatch):
     for n in (300, 1200):
         rng = np.random.default_rng(n)
         phi = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
-        value = _ensemble_objective((2, n), 2)
+        value = _ensemble_objective((2, n), 2)[0]
         tracemalloc.start()
         try:
             got = float(value(phi))
@@ -147,8 +148,53 @@ def test_ensemble_objective_near_product_states_matches_exact_sum(dims, eps):
     for seed in (1, 2, 3):
         st = near_product_state(dims, eps, seed)
         exact = oracles.exact_generator_sum(st.tensor, "class")
-        got = float(_ensemble_objective(dims, 1)(st.amps[None])) ** 2 / 2.0  # sqrt(2 sum)
+        got = float(_ensemble_objective(dims, 1)[0](st.amps[None])) ** 2 / 2.0  # sqrt(2 sum)
         assert abs(float((Fraction(got) - exact) / exact)) <= 2e-15 / eps
+
+
+def _random_isometry(rng, k, r):
+    return _stiefel._retract(rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r)))
+
+
+@pytest.mark.parametrize("dims,rank", [((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((2, 3), 3),
+                                       ((2, 2, 2), 2), ((2, 2, 2), 3)])
+def test_ensemble_gradient_matches_finite_differences(dims, rank):
+    # the Gram-form gradient against central differences of the minors-path value, along
+    # random directions of V, with phi = V W as in the search
+    rng = np.random.default_rng(rank)
+    dec = sg.eigen_ensemble(sg.random_state("mixed", dims, seed=rank, rank=rank))
+    w = np.sqrt(dec.weights)[:, None] * np.array([st.amps for st in dec.states])
+    k = rank + 2
+    value, grad = _ensemble_objective(dims, k)
+    for _ in range(3):
+        v = _random_isometry(rng, k, rank)
+        xi = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
+        h = 1e-6
+        numeric = (value((v + h * xi) @ w) - value((v - h * xi) @ w)) / (2.0 * h)
+        exact = np.vdot(grad(v @ w) @ w.conj().T, xi).real
+        assert abs(numeric - exact) <= 1e-7 * max(1.0, abs(exact))
+
+
+def test_ensemble_gradient_is_finite_on_product_rows():
+    # a basis product row's Gram ssq is exactly 0, the kink of the sqrt: it gets a zero
+    # gradient, not a NaN; other product rows cancel to about 0 and stay finite
+    rows = np.array([np.eye(6)[1], sg.random_state("product", (2, 3), seed=1).amps])
+    g = _ensemble_objective((2, 3), 2)[1](rows)
+    assert np.all(np.isfinite(g))
+    assert not np.any(g[0])
+
+
+@pytest.mark.parametrize("k,r", [(2, 2), (6, 3), (8, 4)])
+def test_projected_gradient_is_tangent(k, r):
+    rng = np.random.default_rng(k)
+    v = _random_isometry(rng, k, r)
+    g = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    xi = _stiefel._tangent(v, g)
+    assert np.max(np.abs(v.conj().T @ xi + xi.conj().T @ v)) <= 1e-12
+    assert np.max(np.abs(_stiefel._tangent(v, xi) - xi)) <= 1e-12    # a projection
+    normal = v.conj().T @ (g - xi)      # what it drops is V S with S Hermitian: orthogonal
+    assert np.max(np.abs(normal - normal.conj().T)) <= 1e-12
+    assert np.max(np.abs(g - xi - v @ normal)) <= 1e-12
 
 
 # ------------------------------------------------------------------ roof search
@@ -266,45 +312,45 @@ def test_roof_config_validation():
     with pytest.raises(sg.ConfigError):
         sg.RoofConfig(restarts=0)
     with pytest.raises(sg.ConfigError):
-        sg.RoofConfig(step_tolerance=0.0)
-    with pytest.raises(sg.ConfigError):
         sg.RoofConfig(ensemble_size=0)
 
 
 def test_roof_refuses_oversized_sweep_up_front(monkeypatch):
-    # 3 qubits at rank 3, K = 6: 2 * (2 K r) candidates x K rows x 18 minors = 7776,
-    # plus the 36 x 36 poll's 36^3 // 256 = 182
+    # 3 qubits at rank 3, K = 6: a gradient of K d (sum_S R_S + r) = 6 * 8 * (2 + 2 + 4 + 3)
+    # = 528, plus 30 trials of K rows x 18 minors and a K x r retraction, 30 * (108 + 18)
     rho = sg.random_state("mixed", (2, 2, 2), seed=1, rank=3)
     cfg = sg.RoofConfig(restarts=1, max_iters=1)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7958)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 4308)
     sg.roof_F(rho, cfg)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 7957)
-    with pytest.raises(sg.ConfigError, match=r"K=6 and rank 3 .* 7958 > 7957"):
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 4307)
+    with pytest.raises(sg.ConfigError, match=r"K=6 and rank 3 .* 4308 > 4307"):
         sg.roof_F(rho, cfg)
     monkeypatch.undo()
-    with pytest.raises(sg.ConfigError, match="K=36 and rank 32"):
-        sg.roof_F(sg.random_state("mixed", (2,) * 5, seed=5), cfg)
+    # 5 qubits at full rank, K = 36: 2625984 an iteration, so 102 fit under 2^28 and 103 do not
+    with pytest.raises(sg.ConfigError, match="K=36 and rank 32 .* 103 iterations .* 270476352 >"):
+        sg.roof_F(sg.random_state("mixed", (2,) * 5, seed=5), sg.RoofConfig(restarts=1,
+                                                                            max_iters=103))
 
 
 def test_roof_search_count_includes_restarts_and_iters(monkeypatch):
-    # the whole search is counted: restarts x iterations x 7958 a sweep
+    # the whole search is counted: restarts x iterations x 4308 an iteration
     rho = sg.random_state("mixed", (2, 2, 2), seed=1, rank=3)
     cfg = sg.RoofConfig(restarts=3, max_iters=5)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7958)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 4308)
     sg.roof_F(rho, cfg)
-    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 7958 - 1)
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 4308 - 1)
     with pytest.raises(sg.ConfigError,
-                       match=r"K=6 and rank 3 with 3 restarts of 5 iterations .* 119370 > 119369"):
+                       match=r"K=6 and rank 3 with 3 restarts of 5 iterations .* 64620 > 64619"):
         sg.roof_F(rho, cfg)
     monkeypatch.undo()
-    # 4-qubit full rank passes one sweep but not 8 x 2000 of them
+    # 4-qubit full rank passes one iteration but not 8 x 2000 of them
     with pytest.raises(sg.ConfigError, match="K=20 and rank 16 with 8 restarts of 2000"):
         sg.roof_F(sg.random_state("mixed", (2,) * 4, seed=4), sg.RoofConfig())
 
 
 def test_roof_search_count_floors_each_sweep(monkeypatch):
-    # two qubits at rank 2, K = 2: 2 * 8 candidates x 2 rows x 1 minor = 32, plus the
-    # 8 x 8 poll's 8^3 // 256 = 2, counts _SWEEP_FLOOR = 256 a sweep
+    # two qubits at rank 2, K = 2: a gradient of 2 * 4 * (2 + 2) = 32 plus 30 trials of
+    # 2 rows x 1 minor and a 2 x 2 retraction, 180, counts _SWEEP_FLOOR = 256 an iteration
     rho = sg.random_state("mixed", (2, 2), seed=1, rank=2)
     cfg = sg.RoofConfig(ensemble_size=2, restarts=3, max_iters=5)
     monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 256)
@@ -312,6 +358,28 @@ def test_roof_search_count_floors_each_sweep(monkeypatch):
     monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 3 * 5 * 256 - 1)
     with pytest.raises(sg.ConfigError, match=r"K=2 and rank 2 .* 3840 > 3839"):
         sg.roof_F(rho, cfg)
+
+
+@pytest.mark.parametrize("rho,cfg", [
+    (werner_state(0.5), sg.RoofConfig(ensemble_size=4, restarts=2, seed=3)),
+    (sg.random_state("mixed", (2, 2, 2), seed=1, rank=3), sg.RoofConfig(restarts=2, max_iters=40)),
+    (sg.random_state("mixed", (2, 3), seed=3, rank=2), sg.RoofConfig(restarts=3, seed=2)),
+])
+def test_roof_search_evaluates_within_its_up_front_count(monkeypatch, rho, cfg):
+    monkeypatch.setattr(convex_roof, "SEARCH_MINOR_CAP", 0)
+    with pytest.raises(sg.ConfigError) as refused:
+        sg.roof_F(rho, cfg)
+    count = int(re.search(r"would count (\d+) >", str(refused.value)).group(1))
+    monkeypatch.undo()
+    counts, real_minors = [], convex_roof.minors
+
+    def counting(mat, rows, cols):
+        counts.append(math.prod(mat.shape[:-2]) * rows[0].size * cols[0].size)
+        return real_minors(mat, rows, cols)
+
+    monkeypatch.setattr(convex_roof, "minors", counting)
+    est = sg.roof_F(rho, cfg)
+    assert est.restart_stops and 0 < sum(counts) <= count
 
 
 def test_roof_notes_mention_size_cap():
@@ -434,6 +502,33 @@ def test_roof_bracket_on_benchmark_inputs(seed, tmp_path, monkeypatch, capsys):
         assert res["lower"] <= res["value"], cmd.name
         assert res["gap"] == res["value"] - res["lower"]
         assert len(res["restart_stops"]) == len(res["restart_bests"])
+
+
+# values of the pattern search the L-BFGS descent replaced, on the same commands
+_PATTERN_SEARCH_VALUES = {
+    "werner-0.3/K4": 2.1855213641942724e-07,
+    "werner-0.5/K4": 0.25000000000005507,
+    "werner-0.8/K4": 0.7000000000000017,
+    "werner-0.5/K8": 0.2500000000005073,
+    5: {"q3-rank3/K6": 0.8730290775422371, "d23-rank2": 0.5517615265028852,
+        "q3-projector": 1.276204510454805},
+    7: {"q3-rank3/K6": 1.019593835091277, "d23-rank2": 0.7943202639054067,
+        "q3-projector": 1.3465429361969528},
+    11: {"q3-rank3/K6": 1.3477549222648753, "d23-rank2": 0.8426542282921963,
+         "q3-projector": 1.2891973941191095},
+}
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_roof_values_on_benchmark_inputs_do_not_rise(seed, tmp_path, monkeypatch, capsys):
+    workload = _bench_workloads().build("roof-search", seed, str(tmp_path), "in")
+    monkeypatch.chdir(tmp_path)
+    pinned = {**_PATTERN_SEARCH_VALUES, **_PATTERN_SEARCH_VALUES[seed]}
+    assert len(workload.commands) == 7
+    for cmd in workload.commands:
+        assert cli.main(list(cmd.argv)) == 0
+        value = json.loads(capsys.readouterr().out)["results"]["value"]
+        assert value <= pinned[cmd.name] + 1e-12, cmd.name
 
 
 # -------------------------------------------------------------- wootters oracle
