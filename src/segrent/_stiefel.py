@@ -52,19 +52,16 @@ def _direction(v, g, pairs) -> np.ndarray:
 def _descend(value, grad, v0: np.ndarray, max_iters: int, trace: list):
     """Riemannian L-BFGS descent of ``value`` over the isometries from v0. ``grad`` gives the
     Euclidean gradient for Re tr(A^+ B), projected here onto the tangent space at each
-    point. An iteration is one Armijo line search over _retract(v + t d), t = 1, 1/2, ...
-    for at most _LINE_TRIALS trials; after a non-descent direction or a failed search the
-    memory is dropped and the next one goes along -grad. Returns (v, value, iterations,
-    stop), stop being "floor" (the value reached ~0), "step" (no decrease along -grad) or
+    point. An iteration is one Armijo line search along the L-BFGS direction d (-grad while
+    the memory is empty) over _retract(v + t d), t = 1, 1/2, ... for at most _LINE_TRIALS
+    trials. Returns (v, value, iterations, stop), stop being "floor" (the value reached ~0),
+    "step" (the line search found no decrease, or d was not a descent direction) or
     "max_iters"; appends each iteration's value to ``trace``."""
     v, fval = v0, value(v0)
     g, pairs, iters, stop = _tangent(v0, grad(v0)), [], 0, "max_iters"
     while iters < max_iters and fval > _VALUE_FLOOR and stop != "step":
         d = _direction(v, g, pairs)
-        slope = _vdot(g, d)
-        if pairs and not slope < 0.0:
-            pairs, d, slope = [], -g, -_vdot(g, g)
-        iters, t = iters + 1, 1.0
+        slope, iters, t = _vdot(g, d), iters + 1, 1.0
         for _ in range(_LINE_TRIALS if slope < 0.0 else 0):
             trial = _retract(v + t * d)
             f_trial = value(trial)
@@ -77,7 +74,6 @@ def _descend(value, grad, v0: np.ndarray, max_iters: int, trace: list):
                 break
             t *= 0.5
         else:
-            stop = stop if pairs else "step"
-            pairs = []
+            stop = "step"
         trace.append(fval)
     return v, fval, iters, "floor" if fval <= _VALUE_FLOOR else stop

@@ -78,7 +78,7 @@ class RoofEstimate:
 
     ``trace`` holds the best value before the search and after each of its iterations.
     ``restart_stops`` gives each restart's stop reason: "max_iters", "step" (no decrease
-    along the negative gradient) or "floor" (the value reached ~0).
+    in the line search) or "floor" (the value reached ~0).
     """
 
     value: float

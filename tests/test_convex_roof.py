@@ -382,6 +382,33 @@ def test_roof_search_evaluates_within_its_up_front_count(monkeypatch, rho, cfg):
     assert est.restart_stops and 0 < sum(counts) <= count
 
 
+def test_roof_restart_ends_within_one_line_search(monkeypatch):
+    # a gradient is taken at the start and at each accepted step, so the trials (retractions)
+    # since the last gradient call are those after the restart's last accepted step
+    tails, tail = [], [0]
+    real_descend, real_retract = _stiefel._descend, _stiefel._retract
+
+    def counting_descend(value, grad, v0, max_iters, trace):
+        def resetting_grad(v):
+            tail[0] = 0
+            return grad(v)
+
+        out = real_descend(value, resetting_grad, v0, max_iters, trace)
+        tails.append(tail[0])
+        return out
+
+    def counting_retract(z):
+        tail[0] += 1
+        return real_retract(z)
+
+    monkeypatch.setattr(_stiefel, "_descend", counting_descend)
+    monkeypatch.setattr(_stiefel, "_retract", counting_retract)
+    est = sg.roof_F(sg.random_state("mixed", (2, 2), seed=1, rank=2),
+                    sg.RoofConfig(ensemble_size=2))
+    assert len(tails) == len(est.restart_stops) and "step" in est.restart_stops
+    assert max(tails) <= _stiefel._LINE_TRIALS, tails
+
+
 def test_roof_notes_mention_size_cap():
     est = sg.roof_F(werner_state(0.5), sg.RoofConfig(ensemble_size=4,
                                                      restarts=1, seed=0))
@@ -529,6 +556,27 @@ def test_roof_values_on_benchmark_inputs_do_not_rise(seed, tmp_path, monkeypatch
         assert cli.main(list(cmd.argv)) == 0
         value = json.loads(capsys.readouterr().out)["results"]["value"]
         assert value <= pinned[cmd.name] + 1e-12, cmd.name
+
+
+# values and restart stops of the descent that retried a failed line search along -grad,
+# keyed by (dims, random_state seed, ensemble_size); each ran 8 restarts at rank 2
+_GRAD_RETRY_VALUES = {
+    ((2, 2), 0, 2): 0.2685338840621086,
+    ((2, 2), 1, 2): 0.23614891612993763,
+    ((2, 2), 2, 2): 0.3389408653815669,
+    ((2, 2), 3, 2): 0.6065665259340276,
+    ((2, 3), 0, None): 0.548347115276255,
+    ((2, 3), 1, None): 0.6448506164261049,
+    ((2, 3), 4, None): 0.5602554744030577,
+}
+
+
+@pytest.mark.parametrize("dims,seed,k", list(_GRAD_RETRY_VALUES))
+def test_roof_values_without_grad_retry_do_not_rise(dims, seed, k):
+    est = sg.roof_F(sg.random_state("mixed", dims, seed=seed, rank=2),
+                    sg.RoofConfig(ensemble_size=k))
+    assert est.value <= _GRAD_RETRY_VALUES[dims, seed, k] + 1e-12
+    assert est.restart_stops == ("step",) * 8
 
 
 # -------------------------------------------------------------- wootters oracle
