@@ -12,11 +12,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
+import gc
 import json
 import os
 import re
 import sys
+
+try:    # CPython's own SHA-256, which hashlib falls back to; hashlib would load OpenSSL
+    from _sha2 import sha256 as _sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256      # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 import numpy as np
 
@@ -120,7 +128,7 @@ def read_state_file(path: str):
         raise
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge integer, deep nesting
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_state_file(doc, where=path), hashlib.sha256(raw).hexdigest()
+    return parse_state_file(doc, where=path), _sha256(raw).hexdigest()
 
 
 def write_state_file(path: str, obj) -> None:
@@ -421,5 +429,13 @@ def main(argv=None) -> int:
     return code
 
 
+def _run() -> None:
+    """Entry of ``python -m segrent`` and of the installed ``segrent`` script."""
+    code = main()
+    # the process ends here: the shutdown collections need not walk what is left
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -628,6 +631,78 @@ def test_failed_report_on_stdout_without_file_descriptor(tmp_path, monkeypatch, 
     monkeypatch.setattr(sys, "stdout", Sink())
     assert cli.main(["measure", "--in", str(path)]) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("segrent: internal error:")
+
+
+# ------------------------------------------------------- digest and process entry
+
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(sg.__file__).resolve().parents[1]))
+
+
+def test_measure_report_digest_is_sha256_of_the_file(tmp_path, capsys, ghz3):
+    path = tmp_path / "ghz.json"
+    cli.write_state_file(str(path), ghz3)
+    report = run_json(capsys, "measure", "--in", str(path))
+    assert report["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("data", [b"", b"\xff", np.random.default_rng(3).bytes(3 << 20)],
+                         ids=["empty", "one-byte", "3MB"])
+def test_cli_digest_agrees_with_hashlib(data):
+    assert cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_cli_import_leaves_out_hashlib():
+    # hashlib loads OpenSSL, about 3.6 MB of peak memory on every command
+    child = "import sys, segrent.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_module_entry_writes_the_whole_file(tmp_path):
+    out = tmp_path / "f.json"
+    proc = subprocess.run([sys.executable, "-m", "segrent", "gen-state", "--name", "ghz",
+                           "--dims", "2,2,2", "--out", str(out)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == proc.stdout
+    assert len(json.loads(proc.stdout)["amps"]) == 8
+
+
+def test_module_entry_input_error_exits_2(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "segrent", "measure", "--in",
+                           str(tmp_path / "missing.json")],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("segrent: ") and "missing.json" in proc.stderr
+
+
+def test_module_entry_freezes_before_exit():
+    # what python -m segrent runs; an atexit hook sees the heap after main has returned
+    child = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+             "sys.argv = ['segrent', 'gen-state', '--name', 'bell', '--dims', '2,2']\n"
+             "runpy.run_module('segrent', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) > 0
+
+
+def test_console_script_is_the_module_entry():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^segrent = "([\w.]+):(\w+)"$', text, re.M).groups()
+    assert module == "segrent.cli" and getattr(cli, name) is cli._run
+
+
+def test_in_process_main_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "gen-state", "--name", "bell", "--dims", "2,2")[0] == 0
+    assert run_cli(capsys, "measure", "--in", "missing.json")[0] == cli.EXIT_INPUT
+    assert gc.get_freeze_count() == before
 
 
 # ---------------------------------------------------------------- determinism
