@@ -122,13 +122,16 @@ def read_state_file(path: str):
 
     with open(path, "rb") as fh:
         raw = fh.read()
+    digest = _sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"), parse_constant=reject_constant)
+        text, raw = raw.decode("utf-8"), None       # the bytes go before parsing,
+        doc = json.loads(text, parse_constant=reject_constant)
     except StateFileError:
         raise
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge integer, deep nesting
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_state_file(doc, where=path), _sha256(raw).hexdigest()
+    del text                                        # the text before the state is built
+    return parse_state_file(doc, where=path), digest
 
 
 def write_state_file(path: str, obj) -> None:
@@ -431,6 +434,10 @@ def main(argv=None) -> int:
 
 def _run() -> None:
     """Entry of ``python -m segrent`` and of the installed ``segrent`` script."""
+    # numpy.random imports secrets, hmac and hashlib, and hashlib would map OpenSSL
+    # (about 3.4 MB) though no command hashes with it; blocked, they take CPython's
+    # builtin hashes. Only here: in-process callers keep the hashlib they would get.
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     # the process ends here: the shutdown collections need not walk what is left
     gc.freeze()

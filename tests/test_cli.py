@@ -705,6 +705,49 @@ def test_in_process_main_does_not_freeze(capsys):
     assert gc.get_freeze_count() == before
 
 
+def _numpy_maps_openssl() -> bool:
+    # numpy versions that import numpy.random with numpy itself load _hashlib before any entry
+    probe = "import sys, numpy; sys.exit('_hashlib' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          timeout=60).returncode == 1
+
+
+@pytest.mark.parametrize("command,preload", [
+    ("roof", ""), ("embed", ""), ("embed", "import hashlib\n")],
+    ids=["roof", "embed", "embed-after-hashlib"])
+def test_module_entry_keeps_openssl_out(tmp_path, capsys, command, preload):
+    # numpy.random imports secrets -> hmac -> hashlib; with _hashlib blocked hashlib takes
+    # CPython's builtin hashes, and would log to stderr if one were missing
+    path = tmp_path / "mixed.json"
+    cli.write_state_file(str(path), sg.random_state("mixed", (2, 2), 7, rank=2))
+    argv = {"roof": ["roof", "--in", str(path), "--restarts", "2", "--iters", "300"],
+            "embed": ["embed", "--dims", "2,2,3"]}[command]
+    child = ("import atexit, os, runpy, sys\n" + preload +
+             "atexit.register(lambda: sys.modules.get('_hashlib') is None or os._exit(3))\n"
+             "sys.argv = ['segrent'] + sys.argv[1:]\n"
+             "runpy.run_module('segrent', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    # an _hashlib loaded before the entry stays in place
+    assert proc.returncode == (3 if preload or _numpy_maps_openssl() else 0)
+    assert proc.stderr == ""
+    code, out, _ = run_cli(capsys, *argv)      # in process, the same report
+    assert code == 0 and proc.stdout == out
+    if command == "roof":
+        assert json.loads(out)["results"]["restart_stops"], "the roof did not search"
+
+
+def test_in_process_main_keeps_hashlib():
+    child = ("import contextlib, io, sys, types\n"
+             "from segrent import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['embed', '--dims', '2,2,3']) == 0\n"
+             "sys.exit(not isinstance(sys.modules.get('_hashlib'), types.ModuleType))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_reports_are_reproducible(tmp_path, capsys):
