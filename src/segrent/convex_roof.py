@@ -9,7 +9,7 @@ K x r isometry V via phi_k = sum_i V_ki sqrt(lambda_i) v_i, with weights
 over V itself, retracting each trial point to an isometry by QR
 (Rothlisberger, Lehmann & Loss, PRL 102, 100502, 2009). Its values, and so
 every line-search decision, sum the 2x2 minors (:func:`segrent.segre_ideal.minors`)
-of the flattenings M_S in the residual scan's bounded blocks; a Gram form of the
+of the flattenings M_S in the bounded blocks of `_pair_blocks`; a Gram form of the
 same sum gives only the gradient. The returned value is always the verified
 average of a concrete decomposition, hence a certified upper bound on the
 infimum. A lower bound comes from the cuts S|S-bar of the exchange classes:
@@ -149,7 +149,7 @@ def _ensemble_objective(sizes: tuple[int, ...], batch: int):
     Every generator of class S is a 2x2 minor of the flattening M_S of the
     row, and each minor is the generator of exactly two index pairs, so a
     row's sum of |g|^2 is twice the sum of |minor|^2 over row pairs
-    r1 < r2 and column pairs c1 < c2 of every M_S, in the residual scan's blocks of
+    r1 < r2 and column pairs c1 < c2 of every M_S, in the blocks of _pair_blocks, of
     at most _PAIR_BLOCK_BUDGET minors over calls of up to ``batch`` rows. For
     unnormalized rows the per-row value sqrt(N sum |g|^2) already equals weight *
     measure of the normalized state, because the generators are quadratic.

@@ -13,7 +13,7 @@ complement give identical generators, so enumeration keeps one
 representative per pair by excluding the last slot from S.
 
 Every generator of slot set S is a 2x2 minor of the flattening M_S. Sums
-use its singular values; residuals and the roof objective use `minors`.
+use its singular values, the roof objective `minors` and residuals tiles.
 Residual scans of more than RESIDUAL_SCAN_CAP minors are refused up front.
 """
 
@@ -37,7 +37,8 @@ __all__ = ["MembershipReport", "MinorSpec", "PermClass", "check_partition_commut
 MATERIALIZE_CAP = 200_000    # largest slot-generator count for which lists are built
 RESIDUAL_SCAN_CAP = 1 << 30  # largest minor count one residual scans
 DEFAULT_MEMBER_TOL = 1e-10
-_PAIR_BLOCK_BUDGET = 1 << 20     # minor values held per streamed block
+_PAIR_BLOCK_BUDGET = 1 << 20     # minor values held per streamed block of the roof objective
+_SCAN_TILE = 1 << 15             # minor values held per tile of the residual scan
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,10 @@ def _pairs(n: int, budget: int):
         yield x, t
 
 
-def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
-    """Non-empty (row pairs of ``row_shape`` differing in every slot, column pairs of
-    range(n_cols)) blocks of at most _PAIR_BLOCK_BUDGET minors over a stack of ``batch``
-    matrices, or of one pair each."""
-    for r1, r2 in _pairs(math.prod(row_shape), _PAIR_BLOCK_BUDGET // batch // n_cols):
+def _row_pairs(row_shape: Sequence[int], budget: int):
+    """Non-empty blocks (r1, r2) of the row pairs of ``row_shape`` that differ in every slot,
+    from blocks of at most ``budget`` pairs of the row triangle."""
+    for r1, r2 in _pairs(math.prod(row_shape), budget):
         if len(row_shape) > 1:          # the pairs of one slot always differ
             place = 1
             for n in reversed(row_shape):   # each slot tests only the pairs left by the last
@@ -207,6 +207,14 @@ def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
                 r1, r2, place = r1[keep], r2[keep], place * n
             if not r1.size:
                 continue
+        yield r1, r2
+
+
+def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
+    """Non-empty (row pairs of ``row_shape`` differing in every slot, column pairs of
+    range(n_cols)) blocks of at most _PAIR_BLOCK_BUDGET minors over a stack of ``batch``
+    matrices, or of one pair each."""
+    for r1, r2 in _row_pairs(row_shape, _PAIR_BLOCK_BUDGET // batch // n_cols):
         for cols in _pairs(n_cols, _PAIR_BLOCK_BUDGET // batch // r1.size):
             yield (r1, r2), cols
 
@@ -220,14 +228,15 @@ def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
     return g
 
 
-def _check_scan(sizes: Sequence[int], families: Sequence[tuple[int, ...]]) -> None:
-    """Refuse (DimensionError) a residual scan of more than RESIDUAL_SCAN_CAP minors."""
+def _check_scan(sizes: Sequence[int], families: Sequence[tuple[int, ...]]) -> int:
+    """The minor count of a residual scan; DimensionError above RESIDUAL_SCAN_CAP."""
     total = math.prod(sizes)
     count = sum(math.prod(sizes[j] * (sizes[j] - 1) for j in rows) // 2
                 * math.comb(total // math.prod(sizes[j] for j in rows), 2) for rows in families)
     if count > RESIDUAL_SCAN_CAP:
         raise DimensionError(f"refusing to scan {count} > {RESIDUAL_SCAN_CAP} minors "
                              f"for dims {tuple(sizes)}")
+    return count
 
 
 def check_segre_scan(dims: DimsLike) -> None:
@@ -244,36 +253,61 @@ def check_residual_scans(dims: DimsLike) -> None:
     check_segre_scan(dims)
 
 
+def _column_tiles(up: np.ndarray, lo: np.ndarray, buf):
+    """(x0, y0, |up[:, x0:x1, None] lo[:, None, y0:y1] - up[:, None, y0:y1] lo[:, x0:x1, None]|)
+    tiles of at most _SCAN_TILE entries over the (P, C) row pairs (up, lo), P at most
+    max(1, _SCAN_TILE // (C - 1)), written over ``buf``: fresh arrays page-fault every tile.
+    Entries at c1 = x0 + i < c2 = y0 + j are |minors| bit for bit; the rest (y0 = x0 + 1
+    only) are 0 or equal one of those in the tile."""
+    n, n_cols = up.shape
+    x0 = 0
+    while x0 < n_cols - 1:
+        x1 = min(n_cols - 1, x0 + max(1, _SCAN_TILE // (n * (n_cols - x0 - 1))))
+        step = max(1, _SCAN_TILE // (n * (x1 - x0)))    # splits c2 only where x1 = x0 + 1
+        for y0 in range(x0 + 1, n_cols, step):
+            shape = (n, x1 - x0, min(step, n_cols - y0))
+            g, tmp, mags = (b[:math.prod(shape)].reshape(shape) for b in buf)
+            np.multiply(up[:, x0:x1, None], lo[:, None, y0:y0 + step], out=g)
+            g -= np.multiply(up[:, None, y0:y0 + step], lo[:, x0:x1, None], out=tmp)
+            yield x0, y0, np.abs(g, out=mags)
+        x0 = x1
+
+
 def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     """(max |minor|, family index, a, b) over the flattenings of ``families``.
 
     Scans the row pairs of M_S differing in every slot of S against its column
-    pairs c1 < c2, at most _PAIR_BLOCK_BUDGET minors a block; the families of one
+    pairs c1 < c2, in tiles of at most _SCAN_TILE values; the families of one
     row shape share each block. The witness, whatever the visit order: the largest
     |minor|, then the smallest family index, then the smallest flat pair (a, b),
     a < b, over both orientations (M[r1,c1], M[r2,c2]), (M[r1,c2], M[r2,c1]) of
     each maximal minor."""
     sizes, total = state.dims.sizes, state.dims.total
-    _check_scan(sizes, families)
+    count = _check_scan(sizes, families)
     shapes = {}
     for fam, rows in enumerate(families):
         shapes.setdefault(tuple(sizes[j] for j in rows), []).append(fam)
     best, best_fam, best_key = -1.0, 0, 0
+    # a tile holds at most twice a family's minors, so small scans map no large buffers
+    buf = [np.empty(min(_SCAN_TILE, 2 * count), t) for t in (complex, complex, float)]
     for shape, fams in shapes.items():
-        for (u, v), (c1, c2) in _pair_blocks(shape, total // math.prod(shape)):
+        n_cols = total // math.prod(shape)
+        # at most an eighth of a tile a walk block: its int64 temporaries add to the tile
+        for u, v in _row_pairs(shape, _SCAN_TILE // max(8, n_cols - 1)):
             for fam in fams:
                 mat = flattening(state.amps, sizes, families[fam])
-                mags = np.abs(minors(mat, (u, v), (c1, c2)))
-                top = float(mags.max())
-                if top < best or (top == best and fam > best_fam):
-                    continue
-                p, q = np.nonzero(mags == top)
-                cols = np.stack([c1[q], c2[q]])      # both orientations
-                flat = flattening(np.arange(total), sizes, families[fam])
-                a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
-                key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
-                if top > best or fam < best_fam or key < best_key:
-                    best, best_fam, best_key = top, fam, key
+                for x0, y0, mags in _column_tiles(mat[u], mat[v], buf):
+                    top = float(mags.max())
+                    if top < best or (top == best and fam > best_fam):
+                        continue
+                    p, i, j = np.nonzero(mags == top)
+                    keep = i + x0 < j + y0          # c1 < c2
+                    p, cols = p[keep], np.stack([i[keep] + x0, j[keep] + y0])  # both orientations
+                    flat = flattening(np.arange(total), sizes, families[fam])
+                    a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
+                    key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
+                    if top > best or fam < best_fam or key < best_key:
+                        best, best_fam, best_key = top, fam, key
     return (best, best_fam, *divmod(best_key, total))
 
 

@@ -414,8 +414,8 @@ def test_separable_counts_both_scans_before_either_runs(tmp_path, capsys, monkey
     # on (2, 2, 2) the t-variety scan has 14 minors and the Segre scan 18
     monkeypatch.setattr(segre_ideal, "RESIDUAL_SCAN_CAP", 14)
     calls = []
-    kernel = segre_ideal.minors
-    monkeypatch.setattr(segre_ideal, "minors", lambda *a: calls.append(1) or kernel(*a))
+    kernel = segre_ideal._column_tiles
+    monkeypatch.setattr(segre_ideal, "_column_tiles", lambda *a: calls.append(1) or kernel(*a))
     path = tmp_path / "ghz.json"
     cli.write_state_file(str(path), ghz3)
     code, out, err = run_cli(capsys, "separable", "--in", str(path))

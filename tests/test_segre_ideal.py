@@ -332,9 +332,9 @@ def test_block_streaming_matches_single_block(monkeypatch):
     st = sg.random_state("haar-pure", (2, 3, 2, 2), seed=13)
     whole = [sg.segre_residual(st), sg.t_variety_residual(st)]
     sums_whole = segre_ideal.slot_generator_sums(st)
-    # budget 1 splits the column pairs of every row pair; 7 splits both
-    for budget in (1, 7):
-        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
+    # tile 1 holds one minor; 7 splits the column pairs of every row pair; 40 splits both
+    for tile in (1, 7, 40):
+        monkeypatch.setattr(segre_ideal, "_SCAN_TILE", tile)
         chunked = [sg.segre_residual(st), sg.t_variety_residual(st)]
         for a, b in zip(whole, chunked):
             assert (a.residual, a.worst) == (b.residual, b.worst)
@@ -342,23 +342,26 @@ def test_block_streaming_matches_single_block(monkeypatch):
         assert np.max(np.abs(sums_whole - sums_chunked)) <= 1e-13
 
 
-@pytest.mark.parametrize("dims,seed", [((2, 16), 91), ((2, 3, 5), 92), ((3, 3, 2), 93)])
-def test_scan_blocks_never_exceed_budget(monkeypatch, dims, seed):
-    # (2, 16): M_{0} has more columns than the budget, so its column pairs are split
-    counts, real_minors = [], segre_ideal.minors
+def _count_tiles(monkeypatch):
+    """Sizes of the residual scan's column tiles, appended as the scan makes them."""
+    sizes, real_tiles = [], segre_ideal._column_tiles
 
-    def counting(mat, rows, cols):
-        counts.append(rows[0].size * cols[0].size)
-        return real_minors(mat, rows, cols)
+    def counting(up, lo, buf):
+        for x0, y0, mags in real_tiles(up, lo, buf):
+            sizes.append(mags.size)
+            yield x0, y0, mags
 
-    monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 7)
-    monkeypatch.setattr(segre_ideal, "minors", counting)
-    st = _real_gaussian_state(dims, seed)
+    monkeypatch.setattr(segre_ideal, "_column_tiles", counting)
+    return sizes
+
+
+def _assert_brute_witness(st, sizes, tile):
+    """Both scans give the brute oracle's residual and witness, each in tiles <= ``tile``."""
     subsets = oracles.brute_canonical_subsets(st.dims.m)
     for family, residual in (("slot", sg.segre_residual), ("class", sg.t_variety_residual)):
-        counts.clear()
+        sizes.clear()
         rep = residual(st)
-        assert counts and max(counts) <= 7
+        assert sizes and max(sizes) <= tile
         mag, fam, k, l = oracles.brute_residual_witness(st.tensor, family)
         assert rep.residual == mag
         if family == "slot":
@@ -367,13 +370,41 @@ def test_scan_blocks_never_exceed_budget(monkeypatch, dims, seed):
             assert (rep.worst[0].swap_set, rep.worst[1]) == (tuple(subsets[fam]), (k, l))
 
 
+@pytest.mark.parametrize("dims,seed", [((2, 16), 91), ((2, 3, 5), 92), ((3, 3, 2), 93)])
+def test_scan_blocks_never_exceed_budget(monkeypatch, dims, seed):
+    # (2, 16): M_{0} has more columns than the tile, so its second columns are split too
+    monkeypatch.setattr(segre_ideal, "_SCAN_TILE", 7)
+    _assert_brute_witness(_real_gaussian_state(dims, seed), _count_tiles(monkeypatch), 7)
+
+
+def _tie_states(dims):
+    """Basis product (every minor 0), W, GHZ and a +-1 real state: states with many ties."""
+    total, strides = math.prod(dims), [math.prod(dims[j + 1:]) for j in range(len(dims))]
+    w, ghz = np.zeros(total), np.zeros(total)
+    w[strides] = 1.0                                       # a single 1 at each slot
+    ghz[[i * sum(strides) for i in range(min(dims))]] = 1.0    # i at every slot
+    signs = np.random.default_rng(total).choice([-1.0, 1.0], total)
+    return [sg.named_state("basis-product", dims),
+            *(sg.BoxTensor(dims, x / np.linalg.norm(x)) for x in (w, ghz, signs))]
+
+
+@pytest.mark.parametrize("tile", [5, 24])
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2), (3, 3, 2), (2, 16)])
+def test_tiled_scan_witness_ties(monkeypatch, dims, tile):
+    # small tiles split the row blocks and the column tiles, and mirror entries tie too
+    monkeypatch.setattr(segre_ideal, "_SCAN_TILE", tile)
+    sizes = _count_tiles(monkeypatch)
+    for st in _tie_states(dims):
+        _assert_brute_witness(st, sizes, tile)
+
+
 def test_lopsided_scan_memory_does_not_grow(monkeypatch):
     # (2, N, 2): class {0, 1} has N (N - 1) row pairs for one first-slot value
     peaks = []
     for n in (500, 2000):
         st = sg.random_state("haar-pure", (2, n, 2), seed=3)
         whole = sg.t_variety_residual(st)
-        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 1 << 16)
+        monkeypatch.setattr(segre_ideal, "_SCAN_TILE", 1 << 14)
         tracemalloc.start()
         try:
             blocked = sg.t_variety_residual(st)
@@ -383,6 +414,20 @@ def test_lopsided_scan_memory_does_not_grow(monkeypatch):
         monkeypatch.undo()
         assert (blocked.residual, blocked.worst) == (whole.residual, whole.worst)
     assert peaks[1] - peaks[0] < 3e6
+
+
+def test_scan_memory_does_not_grow_with_the_state():
+    for small, large in (((2,) * 9, (2,) * 11), ((3,) * 5, (3,) * 7)):
+        peaks = []
+        for dims in (small, large):
+            st = sg.random_state("haar-pure", dims, seed=5)
+            tracemalloc.start()
+            try:
+                sg.t_variety_residual(st)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6, (small, peaks)
 
 
 def test_residual_scan_refused_up_front(monkeypatch):
