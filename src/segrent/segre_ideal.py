@@ -38,7 +38,7 @@ MATERIALIZE_CAP = 200_000    # largest slot-generator count for which lists are 
 RESIDUAL_SCAN_CAP = 1 << 30  # largest minor count one residual scans
 DEFAULT_MEMBER_TOL = 1e-10
 _PAIR_BLOCK_BUDGET = 1 << 20     # minor values held per streamed block of the roof objective
-_SCAN_TILE = 1 << 15             # minor values held per tile of the residual scan
+_SCAN_TILE = 1 << 14             # minor values held per tile of the residual scan
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,13 @@ def iter_segre_generators(dims: DimsLike) -> Iterator[MinorSpec]:
 
 def _slot_pairs(dims: Dims):
     """Non-empty (j, a, b) blocks of flat pairs a < b of the slot-j generators, in order: the
-    pairs of the triangle's 4096-pair blocks that differ at slot j and off it (b != a + step).
-    Callers decode a block's rows at once, so they never hold more than 4096 pairs."""
+    pairs of the triangle's 512-pair blocks that differ at slot j and off it (b != a + step).
+    Callers decode a block's rows at once, so they never hold more than 512 pairs."""
     if dims.m < 2:          # one party has no generators; skip its N^2 / 2 pairs
         return
     for j, n in enumerate(dims.sizes):
         stride = math.prod(dims.sizes[j + 1:])
-        for a, b in _pairs(dims.total, 4096):
+        for a, b in _row_pairs((dims.total,), 512):
             step = (b // stride % n - a // stride % n) * stride
             keep = (step != 0) & (a + step != b)
             if keep.any():
@@ -185,29 +185,31 @@ def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
     return float(2.0 * np.dot(x[:-1], tail[1:]))
 
 
-def _pairs(n: int, budget: int):
-    """Blocks of at most ``budget`` pairs x < y of range(n), in np.triu_indices(n, 1) order."""
-    # starts[x] locates (x, x + 1); a cumsum, since x (2n - x - 1) // 2 cost roof 0.1 MB of RSS
-    starts, count, budget = np.cumsum(n - np.arange(n)) - n, n * (n - 1) // 2, max(1, budget)
-    for p in range(0, count, budget):
-        t = np.arange(p, min(p + budget, count))
-        x = np.searchsorted(starts, t, side="right") - 1
-        t += x + 1 - starts[x]          # in place: t becomes y, and no third block is held
-        yield x, t
-
-
 def _row_pairs(row_shape: Sequence[int], budget: int):
-    """Non-empty blocks (r1, r2) of the row pairs of ``row_shape`` that differ in every slot,
-    from blocks of at most ``budget`` pairs of the row triangle."""
-    for r1, r2 in _pairs(math.prod(row_shape), budget):
-        if len(row_shape) > 1:          # the pairs of one slot always differ
-            place = 1
-            for n in reversed(row_shape):   # each slot tests only the pairs left by the last
-                keep = r1 // place % n != r2 // place % n
-                r1, r2, place = r1[keep], r2[keep], place * n
-            if not r1.size:
-                continue
-        yield r1, r2
+    """Non-empty blocks (r1, r2) of at most ``budget`` row pairs r1 < r2 of ``row_shape`` that
+    differ in every slot, in np.triu_indices order; for a one-slot shape, every pair.
+
+    With first digits a < b = a + 1 + t, the pairs of first digit a are ordered by (r1's
+    tail, t, the digits e of r2's tail), where r2's digit at a slot is the e-th of those
+    that differ from r1's; they start at starts[a], so each block decodes only kept pairs."""
+    n, budget = row_shape[0], max(1, budget)
+    tails, width = math.prod(row_shape[1:]), math.prod(k - 1 for k in row_shape[1:])
+    # a cumsum, since a (2n - a - 1) // 2 cost the roof 0.1 MB of RSS
+    starts = (np.cumsum(n - np.arange(n)) - n) * (tails * width)
+    count = tails * width * n * (n - 1) // 2
+    for p in range(0, count, budget):
+        q = np.arange(p, min(p + budget, count))
+        a = np.searchsorted(starts, q, side="right") - 1
+        q -= starts[a]
+        r1, q = np.divmod(q, (n - 1 - a) * width)
+        t, q = np.divmod(q, width)
+        r2, row, place = (a + 1 + t) * tails, r1, 1
+        for k in reversed(row_shape[1:]):
+            row, d = np.divmod(row, k)
+            q, e = np.divmod(q, k - 1)
+            r2 += (e + (e >= d)) * place
+            place *= k
+        yield a * tails + r1, r2
 
 
 def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
@@ -215,7 +217,7 @@ def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
     range(n_cols)) blocks of at most _PAIR_BLOCK_BUDGET minors over a stack of ``batch``
     matrices, or of one pair each."""
     for r1, r2 in _row_pairs(row_shape, _PAIR_BLOCK_BUDGET // batch // n_cols):
-        for cols in _pairs(n_cols, _PAIR_BLOCK_BUDGET // batch // r1.size):
+        for cols in _row_pairs((n_cols,), _PAIR_BLOCK_BUDGET // batch // r1.size):
             yield (r1, r2), cols
 
 
@@ -256,7 +258,8 @@ def check_residual_scans(dims: DimsLike) -> None:
 def _column_tiles(up: np.ndarray, lo: np.ndarray, buf):
     """(x0, y0, |up[:, x0:x1, None] lo[:, None, y0:y1] - up[:, None, y0:y1] lo[:, x0:x1, None]|)
     tiles of at most _SCAN_TILE entries over the (P, C) row pairs (up, lo), P at most
-    max(1, _SCAN_TILE // (C - 1)), written over ``buf``: fresh arrays page-fault every tile.
+    max(1, _SCAN_TILE // (C - 1)), written over the two complex arrays ``buf``: fresh arrays
+    page-fault every tile. |g| goes over the second, whose products g has taken by then.
     Entries at c1 = x0 + i < c2 = y0 + j are |minors| bit for bit; the rest (y0 = x0 + 1
     only) are 0 or equal one of those in the tile."""
     n, n_cols = up.shape
@@ -266,10 +269,10 @@ def _column_tiles(up: np.ndarray, lo: np.ndarray, buf):
         step = max(1, _SCAN_TILE // (n * (x1 - x0)))    # splits c2 only where x1 = x0 + 1
         for y0 in range(x0 + 1, n_cols, step):
             shape = (n, x1 - x0, min(step, n_cols - y0))
-            g, tmp, mags = (b[:math.prod(shape)].reshape(shape) for b in buf)
+            g, tmp = (b[:math.prod(shape)].reshape(shape) for b in buf)
             np.multiply(up[:, x0:x1, None], lo[:, None, y0:y0 + step], out=g)
             g -= np.multiply(up[:, None, y0:y0 + step], lo[:, x0:x1, None], out=tmp)
-            yield x0, y0, np.abs(g, out=mags)
+            yield x0, y0, np.abs(g, out=buf[1].view(float)[:g.size].reshape(shape))
         x0 = x1
 
 
@@ -277,37 +280,34 @@ def _worst_minor(state: BoxTensor, families: Sequence[tuple[int, ...]]):
     """(max |minor|, family index, a, b) over the flattenings of ``families``.
 
     Scans the row pairs of M_S differing in every slot of S against its column
-    pairs c1 < c2, in tiles of at most _SCAN_TILE values; the families of one
-    row shape share each block. The witness, whatever the visit order: the largest
+    pairs c1 < c2, in tiles of at most _SCAN_TILE values, family by family, so each
+    flattening is built once. The witness, whatever the visit order: the largest
     |minor|, then the smallest family index, then the smallest flat pair (a, b),
     a < b, over both orientations (M[r1,c1], M[r2,c2]), (M[r1,c2], M[r2,c1]) of
     each maximal minor."""
     sizes, total = state.dims.sizes, state.dims.total
     count = _check_scan(sizes, families)
-    shapes = {}
-    for fam, rows in enumerate(families):
-        shapes.setdefault(tuple(sizes[j] for j in rows), []).append(fam)
     best, best_fam, best_key = -1.0, 0, 0
     # a tile holds at most twice a family's minors, so small scans map no large buffers
-    buf = [np.empty(min(_SCAN_TILE, 2 * count), t) for t in (complex, complex, float)]
-    for shape, fams in shapes.items():
-        n_cols = total // math.prod(shape)
-        # at most an eighth of a tile a walk block: its int64 temporaries add to the tile
-        for u, v in _row_pairs(shape, _SCAN_TILE // max(8, n_cols - 1)):
-            for fam in fams:
-                mat = flattening(state.amps, sizes, families[fam])
-                for x0, y0, mags in _column_tiles(mat[u], mat[v], buf):
-                    top = float(mags.max())
-                    if top < best or (top == best and fam > best_fam):
-                        continue
-                    p, i, j = np.nonzero(mags == top)
-                    keep = i + x0 < j + y0          # c1 < c2
-                    p, cols = p[keep], np.stack([i[keep] + x0, j[keep] + y0])  # both orientations
-                    flat = flattening(np.arange(total), sizes, families[fam])
-                    a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
-                    key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
-                    if top > best or fam < best_fam or key < best_key:
-                        best, best_fam, best_key = top, fam, key
+    buf = [np.empty(min(_SCAN_TILE, 2 * count), complex) for _ in range(2)]
+    for fam, rows in enumerate(families):
+        mat = flattening(state.amps, sizes, rows)
+        # at most half a tile of rows and 1/16 of a tile of pairs a row block: its rows
+        # and its int64 temporaries add to the tile buffers
+        budget = _SCAN_TILE // 2 // max(8, mat.shape[1] - 1)
+        for u, v in _row_pairs([sizes[j] for j in rows], budget):
+            for x0, y0, mags in _column_tiles(mat[u], mat[v], buf):
+                top = float(mags.max())
+                if top < best or (top == best and fam > best_fam):
+                    continue
+                p, i, j = np.nonzero(mags == top)
+                keep = i + x0 < j + y0          # c1 < c2
+                p, cols = p[keep], np.stack([i[keep] + x0, j[keep] + y0])  # both orientations
+                flat = flattening(np.arange(total), sizes, rows)
+                a, b = flat[u[p], cols], flat[v[p], cols[::-1]]
+                key = int(np.min(np.minimum(a, b) * total + np.maximum(a, b)))
+                if top > best or fam < best_fam or key < best_key:
+                    best, best_fam, best_key = top, fam, key
     return (best, best_fam, *divmod(best_key, total))
 
 

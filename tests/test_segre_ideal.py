@@ -52,7 +52,7 @@ def test_materialization_cap():
 
 
 def test_first_generator_memory_does_not_grow():
-    # the pairs are walked in 4096-pair blocks, never one multi-index list of every index
+    # the pairs are walked in 512-pair blocks, never one multi-index list of every index
     # (about 12 MB at 16 qubits) nor a 2^20-pair block (42 MB)
     for qubits in (12, 13, 14, 16):
         tracemalloc.start()
@@ -78,7 +78,7 @@ def test_generator_count_formula(dims):
 def test_pair_walk_is_the_triangle_in_order(n):
     want = list(zip(*(z.tolist() for z in np.triu_indices(n, 1))))
     for budget in (1, 5, math.comb(n, 2), 1 << 20):
-        blocks = list(segre_ideal._pairs(n, budget))
+        blocks = list(segre_ideal._row_pairs((n,), budget))
         assert all(0 < x.size <= max(1, budget) for x, _ in blocks)
         assert [p for x, y in blocks for p in zip(x.tolist(), y.tolist())] == want
 
@@ -93,6 +93,18 @@ def test_row_pair_blocks_differ_in_every_slot(monkeypatch, shape):
         # two columns have one column pair, so each row block comes once
         blocks = [rows for rows, _ in segre_ideal._pair_blocks(shape, 2)]
         assert all(r1.size for r1, _ in blocks)
+        assert [p for r1, r2 in blocks for p in zip(r1.tolist(), r2.tolist())] == want
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3), (4, 2, 3)])
+def test_row_pair_builder_is_the_kept_triangle_in_order(shape):
+    every = list(itertools.product(*map(range, shape)))
+    want = [(every.index(k), every.index(l)) for k, l in itertools.combinations(every, 2)
+            if all(x != y for x, y in zip(k, l))]
+    for budget in (1, 7, 1 << 20):
+        blocks = list(segre_ideal._row_pairs(shape, budget))
+        assert all(0 < r1.size <= budget for r1, _ in blocks)
+        assert all(r1.size == budget for r1, _ in blocks[:-1])    # kept pairs fill each block
         assert [p for r1, r2 in blocks for p in zip(r1.tolist(), r2.tolist())] == want
 
 
@@ -428,6 +440,19 @@ def test_scan_memory_does_not_grow_with_the_state():
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 1e6, (small, peaks)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 9, (3,) * 6])
+def test_scan_peak_memory_is_two_tile_buffers(dims):
+    # two 2^14-value complex tile buffers are 0.5 MB; the row blocks and their rows add to them
+    st = sg.random_state("haar-pure", dims, seed=5)
+    tracemalloc.start()
+    try:
+        sg.t_variety_residual(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25e6
 
 
 def test_residual_scan_refused_up_front(monkeypatch):
