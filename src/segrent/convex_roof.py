@@ -7,10 +7,9 @@ eigenpairs (lambda_i, v_i), every size-K decomposition arises from a
 K x r isometry V via phi_k = sum_i V_ki sqrt(lambda_i) v_i, with weights
 |phi_k|^2. A Riemannian L-BFGS descent with random restarts searches
 over V itself, retracting each trial point to an isometry by QR
-(Rothlisberger, Lehmann & Loss, PRL 102, 100502, 2009). Its values, and so
-every line-search decision, sum the 2x2 minors (:func:`segrent.segre_ideal.minors`)
-of the flattenings M_S in the bounded blocks of `_pair_blocks`; a Gram form of the
-same sum gives only the gradient. The returned value is always the verified
+(Rothlisberger, Lehmann & Loss, PRL 102, 100502, 2009). Its values sum the 2x2
+minors of each flattening M_S from the singular values of M_S, and its gradient comes
+from the same singular value decomposition. The returned value is always the verified
 average of a concrete decomposition, hence a certified upper bound on the
 infimum. A lower bound comes from the cuts S|S-bar of the exchange classes:
 by Minkowski the roof is at least
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, IsometryError
 from .measures import DEFAULT_NORM_F, measure_F
-from .segre_ideal import _pair_blocks, enumerate_perm_classes, minors
+from .segre_ideal import _singular_pairs, enumerate_perm_classes
 from .tensor_core import (BoxTensor, Decomposition, DensityMatrix, DimsLike, as_dims,
                           flattening, seed_sequence)
 
@@ -143,49 +142,52 @@ def _rows_decomposition(dims, phi: np.ndarray) -> Decomposition:
     return Decomposition(tuple(float(w) for w in weights[kept]), states)
 
 
-def _ensemble_objective(sizes: tuple[int, ...], batch: int):
+def _ensemble_objective(sizes: tuple[int, ...]):
     """(value, grad) of the batched sum_k of the unnormalized exchange measure of row phi_k.
 
-    Every generator of class S is a 2x2 minor of the flattening M_S of the
-    row, and each minor is the generator of exactly two index pairs, so a
-    row's sum of |g|^2 is twice the sum of |minor|^2 over row pairs
-    r1 < r2 and column pairs c1 < c2 of every M_S, in the blocks of _pair_blocks, of
-    at most _PAIR_BLOCK_BUDGET minors over calls of up to ``batch`` rows. For
-    unnormalized rows the per-row value sqrt(N sum |g|^2) already equals weight *
-    measure of the normalized state, because the generators are quadratic.
-    ``grad`` of K rows is the gradient for Re tr(A^+ B) by the Gram form: the |minor|^2
-    sum of M_S is ssq_S = (||M_S||^4 - ||M_S M_S^+||^2) / 2, whose d / d conj(M_S) is
-    ||M_S||^2 M_S - M_S M_S^+ M_S. It cancels near product rows, so it only steers the
-    search, and a row whose ssq is <= 0 (the kink of the sqrt) gets a zero gradient.
+    Every generator of class S is a 2x2 minor of the flattening M_S of the row, and each
+    minor is the generator of exactly two index pairs, so a row's sum of |g|^2 is twice
+    ssq = sum_S sum_{i<j} x_i x_j over the squared singular values x of each M_S, taken
+    with suffix sums (:func:`segrent.segre_ideal._singular_pairs`). For unnormalized rows
+    the per-row value sqrt(2 N ssq) already equals weight * measure of the normalized
+    state, because the generators are quadratic. ``grad`` of K rows is the gradient for
+    Re tr(A^+ B), from the same decomposition M_S = U diag(s) V^+ with vectors:
+    d ssq_S / d conj(M_S) = U diag(s_i sum_{j != i} x_j) V^+, whose sums over j < i and
+    j > i are prefix and suffix sums, so nothing cancels near product rows. A row whose
+    ssq is exactly 0 (the kink of the sqrt) gets a zero gradient.
     """
     m, plan = len(sizes), []
     for c in enumerate_perm_classes(m):
         order = [*c.swap_set, *(j for j in range(m) if j not in c.swap_set)]
-        n_rows = math.prod(sizes[j] for j in c.swap_set)
-        plan.append((c.swap_set, list(_pair_blocks((n_rows,), math.prod(sizes) // n_rows, batch)),
-                     [sizes[j] for j in order], np.argsort([0, *(1 + j for j in order)])))
+        # the axes back in order, inverted in Python: np.argsort maps numpy's sort code,
+        # about 0.3 MB of a roof command's peak RSS
+        plan.append((c.swap_set, [sizes[j] for j in order],
+                     [0, *(1 + order.index(j) for j in range(m))]))
 
     def value(phi: np.ndarray) -> np.ndarray:          # (..., K, d) -> (...)
         ssq = np.zeros(phi.shape[:-1])
-        for rows, blocks, _, _ in plan:
-            mat = flattening(phi, sizes, rows)
-            for pairs in blocks:
-                g = minors(mat, *pairs)
-                ssq += np.sum((g * g.conj()).real, axis=(-2, -1))
+        for rows, _, _ in plan:
+            x, tail = _singular_pairs(phi, sizes, rows)
+            ssq += np.sum(x * tail, axis=-1)
         return np.sum(np.sqrt(2.0 * DEFAULT_NORM_F * ssq), axis=-1)
 
     def grad(phi: np.ndarray) -> np.ndarray:           # (K, d) -> (K, d)
         k = len(phi)
-        norm2 = np.einsum("kd,kd->k", phi, phi.conj()).real
-        ssq, d_phi = np.zeros(k), len(plan) * norm2[:, None] * phi
-        for rows, _, shape, back in plan:
-            mat = flattening(phi, sizes, rows)
-            gram = mat @ mat.conj().transpose(0, 2, 1)
-            ssq += (norm2 ** 2 - np.sum((gram * gram.conj()).real, axis=(1, 2))) / 2.0
-            d_phi -= (gram @ mat).reshape(k, *shape).transpose(back).reshape(phi.shape)
-        # the real gradient is twice d / d conj: 2 d sqrt(2 N ssq) / d ssq = sqrt(2 N / ssq)
-        scale = np.divide(2.0 * DEFAULT_NORM_F, ssq, out=np.zeros(k), where=ssq > 0.0)
-        return np.sqrt(scale)[:, None] * d_phi
+        ssq, d_phi = np.zeros(k), np.zeros_like(phi)
+        for rows, shape, back in plan:
+            u, s, vh = np.linalg.svd(flattening(phi, sizes, rows), full_matrices=False)
+            x = s * s
+            tail = np.cumsum(x[:, :0:-1], axis=1)[:, ::-1]     # sum_{j>i} x_j, i < n - 1
+            others = np.zeros_like(x)                          # sum_{j != i} x_j
+            others[:, 1:] = np.cumsum(x[:, :-1], axis=1)
+            others[:, :-1] += tail
+            ssq += np.sum(x[:, :-1] * tail, axis=1)
+            d_mat = (u * (s * others)[:, None, :]) @ vh
+            d_phi += d_mat.reshape(k, *shape).transpose(back).reshape(phi.shape)
+        # the real gradient is twice d / d conj: 2 d sqrt(2 N ssq) / d ssq = sqrt(2 N) / sqrt(ssq)
+        scale = np.divide(math.sqrt(2.0 * DEFAULT_NORM_F), np.sqrt(ssq), out=np.zeros(k),
+                          where=ssq > 0.0)
+        return scale[:, None] * d_phi
 
     return value, grad
 
@@ -235,10 +237,11 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
     has begun runs to its own stop, recorded in ``restart_stops``. Deterministic for a fixed
     seed (reduced mod 2^64): restart seeds come from fixed seed-sequence splitting, so
     results do not depend on scheduling. Raises ConfigError before the search if restarts x
-    max_iters iterations, each a gradient (K d (sum_S R_S + r) for the Gram products) and
-    _LINE_TRIALS trials of K rows of minors and a K x r retraction, at least _SWEEP_FLOOR,
-    would count more than SEARCH_MINOR_CAP minors, and DimensionError before rho is
-    diagonalized if its total dimension exceeds ROOF_DIM_CAP.
+    max_iters iterations would count more than SEARCH_MINOR_CAP units, each iteration
+    counting K d (sum_S R_S + r) for its gradient over the R_S x C_S flattenings M_S and
+    _LINE_TRIALS trials of K sum_S C(R_S, 2) C(C_S, 2) minors and a K x r retraction, at
+    least _SWEEP_FLOOR; and DimensionError before rho is diagonalized if its total
+    dimension exceeds ROOF_DIM_CAP.
     """
     check_roof_dims(rho.dims)
     cfg = config or RoofConfig()
@@ -264,7 +267,7 @@ def roof_F(rho: DensityMatrix, config: RoofConfig | None = None) -> RoofEstimate
                               f"{SEARCH_MINOR_CAP} minors")
         lower = _lower_bound(rho)
         w_rows = np.sqrt(dec.weights)[:, None] * np.array([s.amps for s in dec.states])
-        rows_value, rows_grad = _ensemble_objective(sizes, k)
+        rows_value, rows_grad = _ensemble_objective(sizes)
 
         def objective(v: np.ndarray) -> float:
             return float(rows_value(v @ w_rows))

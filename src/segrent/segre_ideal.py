@@ -12,9 +12,10 @@ slots; its singletons reproduce the slot family, and S and its
 complement give identical generators, so enumeration keeps one
 representative per pair by excluding the last slot from S.
 
-Every generator of slot set S is a 2x2 minor of the flattening M_S. Sums
-use its singular values, the roof objective `minors` and residuals tiles.
-Residual scans of more than RESIDUAL_SCAN_CAP minors are refused up front.
+Every generator of slot set S is a 2x2 minor of the flattening M_S. The
+measures and the roof objective sum them from its singular values (Cauchy-Binet);
+residuals take their maximum from tiles of minors. Residual scans of more than
+RESIDUAL_SCAN_CAP minors are refused up front.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ __all__ = ["MembershipReport", "MinorSpec", "PermClass", "check_partition_commut
 MATERIALIZE_CAP = 200_000    # largest slot-generator count for which lists are built
 RESIDUAL_SCAN_CAP = 1 << 30  # largest minor count one residual scans
 DEFAULT_MEMBER_TOL = 1e-10
-_PAIR_BLOCK_BUDGET = 1 << 20     # minor values held per streamed block of the roof objective
-_SCAN_TILE = 1 << 14             # minor values held per tile of the residual scan
+_SCAN_TILE = 1 << 14         # minor values held per tile of the residual scan
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,20 @@ def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
     return complex(t[k] * t[l] - t[ks] * t[ls])
 
 
-def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
-    """Sum of |g|^2 over one family's pairs: 2 sum_{i<j} s_i^2 s_j^2 of M_rows.
+def _singular_pairs(amps: np.ndarray, sizes: Sequence[int], rows: Sequence[int]):
+    """(x_i, sum_{j>i} x_j) for i < n - 1, over the squared singular values x of M_rows of
+    amplitudes (..., total), so their inner product over the last axis is sum_{i<j} x_i x_j,
+    the sum of |minor|^2 of M_rows (Cauchy-Binet). Suffix sums stay accurate near product
+    states, where (sum x)^2 - sum x^2 cancels."""
+    x = np.linalg.svd(flattening(amps, sizes, rows), compute_uv=False) ** 2
+    tail = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
+    return x[..., :-1], tail[..., 1:]
 
-    Each minor is the generator of two pairs (Cauchy-Binet gives the rest);
-    suffix sums stay accurate near product states, where 1 - sum s^4 does not."""
-    x = np.linalg.svd(flattening(state.amps, state.dims.sizes, rows), compute_uv=False) ** 2
-    tail = np.cumsum(x[::-1])[::-1]
-    return float(2.0 * np.dot(x[:-1], tail[1:]))
+
+def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
+    """Sum of |g|^2 over one family's pairs: twice its |minor|^2 sum, since each minor is
+    the generator of two pairs."""
+    return float(2.0 * np.dot(*_singular_pairs(state.amps, state.dims.sizes, rows)))
 
 
 def _row_pairs(row_shape: Sequence[int], budget: int):
@@ -210,24 +216,6 @@ def _row_pairs(row_shape: Sequence[int], budget: int):
             r2 += (e + (e >= d)) * place
             place *= k
         yield a * tails + r1, r2
-
-
-def _pair_blocks(row_shape: Sequence[int], n_cols: int, batch: int = 1):
-    """Non-empty (row pairs of ``row_shape`` differing in every slot, column pairs of
-    range(n_cols)) blocks of at most _PAIR_BLOCK_BUDGET minors over a stack of ``batch``
-    matrices, or of one pair each."""
-    for r1, r2 in _row_pairs(row_shape, _PAIR_BLOCK_BUDGET // batch // n_cols):
-        for cols in _row_pairs((n_cols,), _PAIR_BLOCK_BUDGET // batch // r1.size):
-            yield (r1, r2), cols
-
-
-def minors(mat: np.ndarray, rows, cols) -> np.ndarray:
-    """Minors of (..., R, C) matrices for row pairs (r1, r2) x column pairs (c1, c2)."""
-    (r1, r2), (c1, c2) = rows, cols
-    upper, lower = np.take(mat, r1, axis=-2), np.take(mat, r2, axis=-2)
-    g = np.take(upper, c1, axis=-1) * np.take(lower, c2, axis=-1)
-    g -= np.take(upper, c2, axis=-1) * np.take(lower, c1, axis=-1)
-    return g
 
 
 def _check_scan(sizes: Sequence[int], families: Sequence[tuple[int, ...]]) -> int:
@@ -260,8 +248,8 @@ def _column_tiles(up: np.ndarray, lo: np.ndarray, buf):
     tiles of at most _SCAN_TILE entries over the (P, C) row pairs (up, lo), P at most
     max(1, _SCAN_TILE // (C - 1)), written over the two complex arrays ``buf``: fresh arrays
     page-fault every tile. |g| goes over the second, whose products g has taken by then.
-    Entries at c1 = x0 + i < c2 = y0 + j are |minors| bit for bit; the rest (y0 = x0 + 1
-    only) are 0 or equal one of those in the tile."""
+    Entries at c1 = x0 + i < c2 = y0 + j are |M[r1,c1] M[r2,c2] - M[r1,c2] M[r2,c1]|; the
+    rest (y0 = x0 + 1 only) are 0 or equal one of those in the tile."""
     n, n_cols = up.shape
     x0 = 0
     while x0 < n_cols - 1:

@@ -86,48 +86,24 @@ def test_isometry_validation():
 
 @pytest.mark.parametrize("dims,seed", [((2, 2), 0), ((2, 3), 1), ((3, 3), 2),
                                        ((2, 2, 2), 3), ((2, 2, 3), 4)])
-def test_ensemble_objective_matches_oracle(dims, seed, monkeypatch):
+def test_ensemble_objective_matches_oracle(dims, seed):
     rng = np.random.default_rng(seed)
     shape = (2, 3, math.prod(dims))
     phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)   # unnormalized
     want = [math.fsum(math.sqrt(2.0 * oracles.brute_perm_sum_and_max(row.reshape(dims))[0])
                       for row in batch) for batch in phi]
-    # the default budget holds each class in one block; 6 leaves one minor a row per block
-    for budget in (segre_ideal._PAIR_BLOCK_BUDGET, 6):
-        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
-        got = _ensemble_objective(dims, 6)[0](phi)
-        assert got.shape == (shape[0],)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    got = _ensemble_objective(dims)[0](phi)
+    assert got.shape == (shape[0],)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("rho", [sg.random_state("mixed", (2, 2, 2), seed=1, rank=3),
-                                 sg.random_state("mixed", (2, 16), seed=2, rank=2)])
-def test_objective_blocks_never_exceed_budget(monkeypatch, rho):
-    # each value takes K = 4 rows, 5 minors a row in a block: that splits every class of
-    # (2, 2, 2), which have 6, and is below the 16 columns of M_{0} of (2, 16), so its
-    # column pairs are split too
-    counts, real_minors = [], convex_roof.minors
-    budget = 4 * 5
-
-    def counting(mat, rows, cols):
-        counts.append(math.prod(mat.shape[:-2]) * rows[0].size * cols[0].size)
-        return real_minors(mat, rows, cols)
-
-    monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
-    monkeypatch.setattr(convex_roof, "minors", counting)
-    est = sg.roof_F(rho, sg.RoofConfig(ensemble_size=4, restarts=1, max_iters=2))
-    assert counts and max(counts) <= budget
-    assert len(est.trace) == 3
-
-
-def test_objective_memory_does_not_grow_with_columns(monkeypatch):
+def test_objective_memory_does_not_grow_with_columns():
     # (2, N): M_{0} has C(N, 2) column pairs a row, which one block used to hold at once
-    monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", 1 << 16)
     peaks = []
     for n in (300, 1200):
         rng = np.random.default_rng(n)
         phi = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
-        value = _ensemble_objective((2, n), 2)[0]
+        value = _ensemble_objective((2, n))[0]
         tracemalloc.start()
         try:
             got = float(value(phi))
@@ -144,12 +120,22 @@ def test_objective_memory_does_not_grow_with_columns(monkeypatch):
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3)])
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
 def test_ensemble_objective_near_product_states_matches_exact_sum(dims, eps):
-    # worst relative errors measured over these states: 3e-14, 3.4e-11 and 5.1e-8
+    # worst relative errors measured over these states: 3e-14, 3.4e-11 and 5.1e-8. The
+    # gradient against central differences of the value along a seeded complex direction,
+    # with a step of 1e-3 eps: the value is about eps there, so this tests the gradient
+    # where the sums of |minor|^2 are eps^2
+    value, grad = _ensemble_objective(dims)
     for seed in (1, 2, 3):
         st = near_product_state(dims, eps, seed)
         exact = oracles.exact_generator_sum(st.tensor, "class")
-        got = float(_ensemble_objective(dims, 1)[0](st.amps[None])) ** 2 / 2.0  # sqrt(2 sum)
+        got = float(value(st.amps[None])) ** 2 / 2.0  # sqrt(2 sum)
         assert abs(float((Fraction(got) - exact) / exact)) <= 2e-15 / eps
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((1, st.amps.size)) + 1j * rng.standard_normal((1, st.amps.size))
+        h = 1e-3 * eps
+        numeric = float(value(st.amps[None] + h * xi) - value(st.amps[None] - h * xi)) / (2 * h)
+        slope = np.vdot(grad(st.amps[None]), xi).real
+        assert abs(numeric - slope) <= 2e-4 * max(1.0, abs(slope)), (seed, numeric, slope)
 
 
 def _random_isometry(rng, k, r):
@@ -159,13 +145,13 @@ def _random_isometry(rng, k, r):
 @pytest.mark.parametrize("dims,rank", [((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((2, 3), 3),
                                        ((2, 2, 2), 2), ((2, 2, 2), 3)])
 def test_ensemble_gradient_matches_finite_differences(dims, rank):
-    # the Gram-form gradient against central differences of the minors-path value, along
-    # random directions of V, with phi = V W as in the search
+    # the gradient from each flattening's singular vectors against central differences of
+    # the value, along random directions of V, with phi = V W as in the search
     rng = np.random.default_rng(rank)
     dec = sg.eigen_ensemble(sg.random_state("mixed", dims, seed=rank, rank=rank))
     w = np.sqrt(dec.weights)[:, None] * np.array([st.amps for st in dec.states])
     k = rank + 2
-    value, grad = _ensemble_objective(dims, k)
+    value, grad = _ensemble_objective(dims)
     for _ in range(3):
         v = _random_isometry(rng, k, rank)
         xi = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
@@ -176,10 +162,10 @@ def test_ensemble_gradient_matches_finite_differences(dims, rank):
 
 
 def test_ensemble_gradient_is_finite_on_product_rows():
-    # a basis product row's Gram ssq is exactly 0, the kink of the sqrt: it gets a zero
-    # gradient, not a NaN; other product rows cancel to about 0 and stay finite
+    # a basis product row's sum of |minor|^2 is exactly 0, the kink of the sqrt: it gets a
+    # zero gradient, not a NaN; other product rows have a sum of about 0 and stay finite
     rows = np.array([np.eye(6)[1], sg.random_state("product", (2, 3), seed=1).amps])
-    g = _ensemble_objective((2, 3), 2)[1](rows)
+    g = _ensemble_objective((2, 3))[1](rows)
     assert np.all(np.isfinite(g))
     assert not np.any(g[0])
 
@@ -371,13 +357,16 @@ def test_roof_search_evaluates_within_its_up_front_count(monkeypatch, rho, cfg):
         sg.roof_F(rho, cfg)
     count = int(re.search(r"would count (\d+) >", str(refused.value)).group(1))
     monkeypatch.undo()
-    counts, real_minors = [], convex_roof.minors
+    counts, real_pairs = [], convex_roof._singular_pairs
 
-    def counting(mat, rows, cols):
-        counts.append(math.prod(mat.shape[:-2]) * rows[0].size * cols[0].size)
-        return real_minors(mat, rows, cols)
+    def counting(amps, sizes, rows):
+        # a value's (K, R, C) flattening counts K C(R, 2) C(C, 2) minors up front
+        n_rows = math.prod(sizes[j] for j in rows)
+        counts.append(math.prod(amps.shape[:-1]) * math.comb(n_rows, 2)
+                      * math.comb(amps.shape[-1] // n_rows, 2))
+        return real_pairs(amps, sizes, rows)
 
-    monkeypatch.setattr(convex_roof, "minors", counting)
+    monkeypatch.setattr(convex_roof, "_singular_pairs", counting)
     est = sg.roof_F(rho, cfg)
     assert est.restart_stops and 0 < sum(counts) <= count
 
@@ -508,6 +497,14 @@ def test_roof_restart_stop_reasons():
     assert est.restart_stops == ("max_iters", "max_iters")
     est = sg.roof_F(werner_state(0.3), sg.RoofConfig(restarts=1, seed=1))
     assert est.restart_stops in (("step",), ("floor",))
+
+
+def test_separable_werner_search_reaches_the_floor():
+    # Werner p = 0.3 is separable, so its roof is 0: a gradient that stays accurate near
+    # product rows steers the descent down to the value floor instead of stopping short
+    est = sg.roof_F(werner_state(0.3), sg.RoofConfig(ensemble_size=4, restarts=8, seed=7))
+    assert est.value <= 1e-12
+    assert est.restart_stops == ("floor",)
 
 
 def _bench_workloads():

@@ -83,19 +83,6 @@ def test_pair_walk_is_the_triangle_in_order(n):
         assert [p for x, y in blocks for p in zip(x.tolist(), y.tolist())] == want
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 2), (2, 2, 2, 2)])
-def test_row_pair_blocks_differ_in_every_slot(monkeypatch, shape):
-    every = list(itertools.product(*map(range, shape)))
-    want = [(every.index(k), every.index(l)) for k, l in itertools.combinations(every, 2)
-            if all(x != y for x, y in zip(k, l))]
-    for budget in (segre_ideal._PAIR_BLOCK_BUDGET, 7):
-        monkeypatch.setattr(segre_ideal, "_PAIR_BLOCK_BUDGET", budget)
-        # two columns have one column pair, so each row block comes once
-        blocks = [rows for rows, _ in segre_ideal._pair_blocks(shape, 2)]
-        assert all(r1.size for r1, _ in blocks)
-        assert [p for r1, r2 in blocks for p in zip(r1.tolist(), r2.tolist())] == want
-
-
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3), (4, 2, 3)])
 def test_row_pair_builder_is_the_kept_triangle_in_order(shape):
     every = list(itertools.product(*map(range, shape)))
