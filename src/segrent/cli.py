@@ -33,6 +33,7 @@ from .convex_roof import RoofConfig, check_roof_dims, roof_F
 from .errors import ConfigError, DimensionError, SegrentError, StateFileError
 from .measures import MeasureConfig, measure_E, measure_F
 from .segre_ideal import (
+    DEFAULT_MEMBER_TOL,
     MinorSpec,
     _slot_pairs,
     check_partition_commutativity,
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate a pure-state measure")
     p.add_argument("--in", dest="infile", required=True, help="state file (pure)")
     p.add_argument("--which", choices=("E", "F"), default="F")
-    p.add_argument("--norm", type=float, default=None,
+    p.add_argument("--norm", type=float, default=MeasureConfig.normalization,
                    help="override the normalization constant")
     p.add_argument("--breakdown", action="store_true",
                    help="include per-class partial sums")
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separable", help="variety-membership residuals")
     p.add_argument("--in", dest="infile", required=True, help="state file (pure)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_MEMBER_TOL)
     p.set_defaults(handler=_cmd_separable)
 
     p = sub.add_parser("generators", help="list the slot generators for dims")
@@ -359,10 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roof", help="convex-roof estimate for a mixed state")
     p.add_argument("--in", dest="infile", required=True,
                    help="state file (pure or mixed)")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--ensemble", type=int, default=None, help="ensemble size K")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=RoofConfig.restarts)
+    p.add_argument("--iters", type=int, default=RoofConfig.max_iters)
+    p.add_argument("--ensemble", type=int, default=RoofConfig.ensemble_size,
+                   help="ensemble size K")
+    p.add_argument("--seed", type=int, default=RoofConfig.seed)
     p.set_defaults(handler=_cmd_roof)
 
     p = sub.add_parser("embed", help="embed seeded random factors, check splits")

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError, IsometryError
 from .measures import DEFAULT_NORM_F, measure_F
 from .segre_ideal import _singular_pairs, enumerate_perm_classes
-from .tensor_core import (BoxTensor, Decomposition, DensityMatrix, DimsLike, as_dims,
-                          flattening, seed_sequence)
+from .tensor_core import (_TRACE_TOL, BoxTensor, Decomposition, DensityMatrix, DimsLike,
+                          as_dims, flattening, seed_sequence)
 
 __all__ = ["RoofConfig", "RoofEstimate", "eigen_ensemble", "ensemble_from_isometry", "roof_F",
            "wootters_oracle"]
@@ -99,14 +99,14 @@ def check_roof_dims(dims: DimsLike) -> None:
 
 def _kept_eigs(rho: DensityMatrix):
     """Eigenpairs above the rank floor, eigenvalues descending. The kept eigenvalues are
-    rescaled to sum to 1 only when they miss it by more than Decomposition's 1e-10, as
-    when many tiny ones are dropped; otherwise they keep their computed bits."""
+    rescaled to sum to 1 only when they miss it by more than _TRACE_TOL, Decomposition's bound
+    on its weights' sum, as when many tiny ones are dropped; else they keep their bits."""
     lam, vecs = np.linalg.eigh(rho.mat)
     lam, vecs = lam[::-1], vecs[:, ::-1]
     kept = lam > RANK_FLOOR
     lam, vecs = lam[kept], vecs[:, kept]
     total = math.fsum(lam)
-    return (lam if abs(total - 1.0) <= 1e-10 else lam / total), vecs
+    return (lam if abs(total - 1.0) <= _TRACE_TOL else lam / total), vecs
 
 
 def eigen_ensemble(rho: DensityMatrix) -> Decomposition:
@@ -147,11 +147,11 @@ def _ensemble_objective(sizes: tuple[int, ...]):
 
     Every generator of class S is a 2x2 minor of the flattening M_S of the row, and each
     minor is the generator of exactly two index pairs, so a row's sum of |g|^2 is twice
-    ssq = sum_S sum_{i<j} x_i x_j over the squared singular values x of each M_S, taken
-    with suffix sums (:func:`segrent.segre_ideal._singular_pairs`). For unnormalized rows
-    the per-row value sqrt(2 N ssq) already equals weight * measure of the normalized
-    state, because the generators are quadratic. ``grad`` of K rows is the gradient for
-    Re tr(A^+ B), from the same decomposition M_S = U diag(s) V^+ with vectors:
+    ssq = sum_S sum_{i<j} x_i x_j over the squared singular values x of each M_S, which
+    :func:`segrent.segre_ideal._singular_pairs` takes with suffix sums from the rows'
+    (K, R_S, C_S) flattening. For unnormalized rows the per-row value sqrt(2 N ssq) equals
+    weight * measure of the normalized state, because the generators are quadratic. ``grad``
+    of K rows is the gradient for Re tr(A^+ B), from the same M_S = U diag(s) V^+ with vectors:
     d ssq_S / d conj(M_S) = U diag(s_i sum_{j != i} x_j) V^+, whose sums over j < i and
     j > i are prefix and suffix sums, so nothing cancels near product rows. A row whose
     ssq is exactly 0 (the kink of the sqrt) gets a zero gradient.
@@ -167,7 +167,7 @@ def _ensemble_objective(sizes: tuple[int, ...]):
     def value(phi: np.ndarray) -> np.ndarray:          # (..., K, d) -> (...)
         ssq = np.zeros(phi.shape[:-1])
         for rows, _, _ in plan:
-            x, tail = _singular_pairs(phi, sizes, rows)
+            x, tail = _singular_pairs(flattening(phi, sizes, rows))
             ssq += np.sum(x * tail, axis=-1)
         return np.sum(np.sqrt(2.0 * DEFAULT_NORM_F * ssq), axis=-1)
 
@@ -198,23 +198,21 @@ def _lower_bound(rho: DensityMatrix) -> float:
     L_S = max(0, MB_S, CAF_S) bounds the concurrence roof sqrt(2 (1 - Tr rho_S^2)) of the
     cut, whose squares the pure-state measure sums: MB_S^2 = 2 Tr rho^2 - Tr rho_S^2 -
     Tr rho_S-bar^2 and CAF_S = sqrt(2 / (n (n - 1))) (max(||rho^T_S||_1, ||R_S(rho)||_1) - 1)
-    with n = min(d_S, d_S-bar), where T_S is the partial transpose and R_S the realignment.
+    with n = min(d_S, d_S-bar). The partial transpose rho^T_S and the realignment R_S(rho)
+    are flattenings of rho's entries, taken as a tensor of 2m slots: the kets, then the bras.
     """
-    sizes, d, m = rho.dims.sizes, rho.dims.total, rho.dims.m
-    t = rho.mat.reshape(sizes + sizes)
-    purity = float(np.vdot(rho.mat, rho.mat).real)
+    sizes, m, entries = rho.dims.sizes, rho.dims.m, rho.mat.reshape(-1)
     total = 0.0
     for c in enumerate_perm_classes(m):
-        rest = [j for j in range(m) if j not in c.swap_set]
+        rest, bra = [j for j in range(m) if j not in c.swap_set], [m + j for j in c.swap_set]
         n_s = math.prod(sizes[j] for j in c.swap_set)
-        n_r = d // n_s
-        # blocks[a, b, a', b'] = <a b| rho |a' b'>, a over the slots of S, b over the rest
-        blocks = t.transpose([*c.swap_set, *rest, *(m + j for j in c.swap_set),
-                              *(m + j for j in rest)]).reshape(n_s, n_r, n_s, n_r)
-        rho_s, rho_r = np.einsum("abcb->ac", blocks), np.einsum("abad->bd", blocks)
-        mb2 = 2.0 * purity - np.vdot(rho_s, rho_s).real - np.vdot(rho_r, rho_r).real
-        partial_t = blocks.transpose(2, 1, 0, 3).reshape(d, d)
-        realigned = blocks.transpose(0, 2, 1, 3).reshape(n_s * n_s, n_r * n_r)
+        n_r = rho.dims.total // n_s
+        # R_S(rho)[(a, a'), (b, b')] = <a b| rho |a' b'>, a over the slots of S, b over the rest
+        realigned = flattening(entries, sizes + sizes, [*c.swap_set, *bra])
+        blocks = realigned.reshape(n_s, n_s, n_r, n_r)
+        rho_s, rho_r = np.einsum("acbb->ac", blocks), np.einsum("aabd->bd", blocks)
+        mb2 = 2.0 * rho.purity - np.vdot(rho_s, rho_s).real - np.vdot(rho_r, rho_r).real
+        partial_t = flattening(entries, sizes + sizes, [*bra, *rest])    # rows (a', b)
         # ||rho^T_S||_1 - 1 is twice the negative eigenvalues' weight, since Tr rho^T_S = 1;
         # summed that way it is exactly 0 on a PPT state, where 1 + ... - 1 would round up
         negative = -np.sum(np.minimum(np.linalg.eigvalsh(partial_t), 0.0))

@@ -175,12 +175,12 @@ def evaluate_perm_minor(state: BoxTensor, swap: SwapLike,
     return complex(t[k] * t[l] - t[ks] * t[ls])
 
 
-def _singular_pairs(amps: np.ndarray, sizes: Sequence[int], rows: Sequence[int]):
-    """(x_i, sum_{j>i} x_j) for i < n - 1, over the squared singular values x of M_rows of
-    amplitudes (..., total), so their inner product over the last axis is sum_{i<j} x_i x_j,
-    the sum of |minor|^2 of M_rows (Cauchy-Binet). Suffix sums stay accurate near product
-    states, where (sum x)^2 - sum x^2 cancels."""
-    x = np.linalg.svd(flattening(amps, sizes, rows), compute_uv=False) ** 2
+def _singular_pairs(mat: np.ndarray):
+    """(x_i, sum_{j>i} x_j) for i < n - 1, over the squared singular values x of the
+    flattenings ``mat`` (..., R, C), so their inner product over the last axis is
+    sum_{i<j} x_i x_j, the sum of |minor|^2 of each flattening (Cauchy-Binet). Suffix sums
+    stay accurate near product states, where (sum x)^2 - sum x^2 cancels."""
+    x = np.linalg.svd(mat, compute_uv=False) ** 2
     tail = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
     return x[..., :-1], tail[..., 1:]
 
@@ -188,7 +188,7 @@ def _singular_pairs(amps: np.ndarray, sizes: Sequence[int], rows: Sequence[int])
 def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
     """Sum of |g|^2 over one family's pairs: twice its |minor|^2 sum, since each minor is
     the generator of two pairs."""
-    return float(2.0 * np.dot(*_singular_pairs(state.amps, state.dims.sizes, rows)))
+    return float(2.0 * np.dot(*_singular_pairs(flattening(state.amps, state.dims.sizes, rows))))
 
 
 def _row_pairs(row_shape: Sequence[int], budget: int):
@@ -200,7 +200,7 @@ def _row_pairs(row_shape: Sequence[int], budget: int):
     that differ from r1's; they start at starts[a], so each block decodes only kept pairs."""
     n, budget = row_shape[0], max(1, budget)
     tails, width = math.prod(row_shape[1:]), math.prod(k - 1 for k in row_shape[1:])
-    # a cumsum, since a (2n - a - 1) // 2 cost the roof 0.1 MB of RSS
+    # first digits (a', b) with a' < a: a (2n - a - 1) / 2 of them, each with tails * width pairs
     starts = (np.cumsum(n - np.arange(n)) - n) * (tails * width)
     count = tails * width * n * (n - 1) // 2
     for p in range(0, count, budget):

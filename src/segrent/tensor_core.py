@@ -189,7 +189,7 @@ class Decomposition:
             raise DimensionError("weights and states must be nonempty and aligned")
         if any(w <= 0.0 for w in weights):
             raise DimensionError("ensemble weights must be strictly positive")
-        if abs(math.fsum(weights) - 1.0) > 1e-10:
+        if abs(math.fsum(weights) - 1.0) > _TRACE_TOL:     # the mixture's trace
             raise DimensionError("ensemble weights must sum to 1 within 1e-10")
         dims = states[0].dims
         for s in states:

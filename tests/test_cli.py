@@ -116,6 +116,8 @@ def test_measure_breakdown_keys(tmp_path, capsys, ghz3):
     report = run_json(capsys, "measure", "--in", str(path), "--which", "F",
                       "--breakdown")
     assert set(report["results"]["per_class"]) == {"0", "1", "0,1"}
+    report = run_json(capsys, "measure", "--in", str(path), "--which", "E", "--breakdown")
+    assert set(report["results"]["per_class"]) == {"0", "1", "2"}      # one key per slot
 
 
 def test_separable_product_state(tmp_path, capsys):
@@ -144,6 +146,8 @@ def test_generators_command(capsys):
     assert report["results"]["count"] == 4
     assert report["results"]["per_slot"] == {"0": 2, "1": 2}
     assert len(report["results"]["specs"]) == 4
+    code, out, err = run_cli(capsys, "generators", "--dims", "2,x")
+    assert (code, out) == (2, "") and "dims must be comma-separated integers" in err
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (5,), (2,) * 6,
@@ -284,6 +288,8 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "measure", "--in", str(path))
     assert code == 2
     assert "not valid JSON" in err
+    with pytest.raises(sg.StateFileError, match="top level must be a JSON object"):
+        cli.parse_state_file([])
 
 
 @pytest.mark.parametrize("text", [

@@ -298,6 +298,8 @@ def test_roof_config_validation():
     with pytest.raises(sg.ConfigError):
         sg.RoofConfig(restarts=0)
     with pytest.raises(sg.ConfigError):
+        sg.RoofConfig(max_iters=0)
+    with pytest.raises(sg.ConfigError):
         sg.RoofConfig(ensemble_size=0)
 
 
@@ -359,12 +361,11 @@ def test_roof_search_evaluates_within_its_up_front_count(monkeypatch, rho, cfg):
     monkeypatch.undo()
     counts, real_pairs = [], convex_roof._singular_pairs
 
-    def counting(amps, sizes, rows):
+    def counting(mat):
         # a value's (K, R, C) flattening counts K C(R, 2) C(C, 2) minors up front
-        n_rows = math.prod(sizes[j] for j in rows)
-        counts.append(math.prod(amps.shape[:-1]) * math.comb(n_rows, 2)
-                      * math.comb(amps.shape[-1] // n_rows, 2))
-        return real_pairs(amps, sizes, rows)
+        *lead, n_rows, n_cols = mat.shape
+        counts.append(math.prod(lead) * math.comb(n_rows, 2) * math.comb(n_cols, 2))
+        return real_pairs(mat)
 
     monkeypatch.setattr(convex_roof, "_singular_pairs", counting)
     est = sg.roof_F(rho, cfg)
@@ -418,7 +419,7 @@ def _permuted(rho, perm):
 
 
 @pytest.mark.parametrize("dims,rank", [((2, 2), 2), ((2, 3), 2), ((2, 3), 4), ((2, 2, 2), 3),
-                                       ((2, 3, 2), 2)])
+                                       ((2, 3, 2), 2), ((3, 2, 2), 2), ((2, 2, 2, 2), 2)])
 def test_roof_lower_matches_oracle(dims, rank):
     for seed in range(3):
         rho = sg.random_state("mixed", dims, seed=seed, rank=rank)

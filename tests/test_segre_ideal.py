@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import segrent as sg
-from segrent import segre_ideal
+from segrent import cli, segre_ideal
 
 import oracles
 
@@ -102,6 +103,9 @@ def test_minor_spec_invariants():
         sg.MinorSpec(1, ((0, 0), (1, 0)))        # equal at the slot
     with pytest.raises(sg.GeneratorSpecError):
         sg.MinorSpec(0, ((0, 0), (0, 0)))        # identical tuples
+    for slot in (-1, 2):                         # no such slot
+        with pytest.raises(sg.GeneratorSpecError):
+            sg.MinorSpec(slot, ((0, 0), (1, 1)))
 
 
 def test_perm_class_enumeration():
@@ -111,6 +115,11 @@ def test_perm_class_enumeration():
     assert sg.enumerate_perm_classes(1) == []
     assert [c.swap_set for c in sg.enumerate_perm_classes(4)] == \
         oracles.brute_canonical_subsets(4)
+    for swap in ((), (-1,)):
+        with pytest.raises(sg.GeneratorSpecError):
+            sg.PermClass(swap)
+    with pytest.raises(sg.DimensionError):
+        sg.enumerate_perm_classes(0)
 
 
 # ------------------------------------------------------------------ evaluation
@@ -224,9 +233,15 @@ def test_segre_residual_matches_loop_oracle():
     assert sg.segre_residual(st).residual == pytest.approx(want, abs=1e-13)
 
 
-def test_segre_residual_single_party():
-    rep = sg.segre_residual(sg.make_state((3,), [1, 0, 0]))
-    assert rep.residual == 0.0 and rep.is_member and rep.worst is None
+def test_segre_residual_single_party(tmp_path, capsys):
+    st = sg.make_state((3,), [1, 0, 0])
+    for rep in (sg.segre_residual(st), sg.t_variety_residual(st)):
+        assert rep.residual == 0.0 and rep.is_member and rep.worst is None
+    path = tmp_path / "one.json"
+    cli.write_state_file(str(path), st)
+    assert cli.main(["separable", "--in", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["segre"]["worst"] is None and results["t_variety"]["worst"] is None
 
 
 def test_t_residual_product_state():

@@ -28,6 +28,11 @@ def test_make_state_keeps_unnormalized_input():
     st = sg.make_state((2,), [2.0, 0.0])
     assert st.amps[0] == 2.0
     assert not st.is_normalized()
+    raw = sg.make_state((2,), [3, 4])
+    unit = raw.normalized()
+    assert unit is not raw and unit.is_normalized()
+    assert np.allclose(unit.amps, [0.6, 0.8], rtol=0.0, atol=1e-15)
+    assert np.array_equal(raw.amps, [3, 4])
 
 
 def test_make_state_length_mismatch():
@@ -69,6 +74,7 @@ def test_dims_validation():
         sg.Dims((2, 1))
     d = sg.Dims((2, 3, 2))
     assert d.m == 3 and d.total == 12
+    assert len(d) == 3 and list(d) == [2, 3, 2]
 
 
 @pytest.mark.parametrize("multi,dims,expect", [
@@ -86,6 +92,8 @@ def test_flat_index_out_of_range():
         sg.flat_index((0, 2), (2, 2))
     with pytest.raises(sg.DimensionError):
         sg.flat_index((0,), (2, 2))
+    with pytest.raises(sg.DimensionError):
+        sg.multi_index(4, (2, 2))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3, 3), (2, 3, 4),
@@ -249,6 +257,8 @@ def test_random_mixed_is_valid_density():
     assert isinstance(rho, sg.DensityMatrix)
     rho2 = sg.random_state("mixed", (2, 2), seed=5, rank=2)
     assert np.linalg.matrix_rank(rho2.mat, tol=1e-10) == 2
+    with pytest.raises(sg.DimensionError):
+        sg.random_state("mixed", (2, 2), 0, rank=0)
 
 
 def test_random_state_negative_seed_ok():
@@ -306,6 +316,8 @@ def test_density_refuses_non_unit_state():
 
 def test_decomposition_validation(bell, ghz3):
     sg.Decomposition((1.0,), (bell,))
+    with pytest.raises(sg.DimensionError):
+        sg.Decomposition((), ())                              # empty
     with pytest.raises(sg.DimensionError):
         sg.Decomposition((0.5, 0.6), (bell, bell))           # weights sum > 1
     with pytest.raises(sg.DimensionError):
