@@ -29,14 +29,14 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Projection of g onto the tangent space {xi : V^+ xi + xi^+ V = 0} at the isometry v."""
+    """Projection of g's K x r matrices onto the tangent space {xi : V^+ xi + xi^+ V = 0} at v."""
     a = v.conj().T @ g
-    return g - v @ ((a + a.conj().T) / 2.0)
+    return g - v @ ((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def _direction(v, g, pairs) -> np.ndarray:
-    """L-BFGS direction -H g from the (s, y) pairs re-projected onto the tangent space at v."""
-    pairs = [(s, y, _vdot(s, y)) for s, y in ((_tangent(v, s), _tangent(v, y)) for s, y in pairs)]
+def _direction(v, g, pairs: np.ndarray) -> np.ndarray:
+    """L-BFGS direction -H g from the (n, 2, K, r) stack of (s, y) pairs, re-projected at v."""
+    pairs = [(s, y, _vdot(s, y)) for s, y in _tangent(v, pairs)]
     pairs = [p for p in pairs if p[2] > 0.0]
     q, alphas = g, []
     for s, y, sy in reversed(pairs):
@@ -57,8 +57,8 @@ def _descend(value, grad, v0: np.ndarray, max_iters: int, trace: list):
     trials. Returns (v, value, iterations, stop), stop being "floor" (the value reached ~0),
     "step" (the line search found no decrease, or d was not a descent direction) or
     "max_iters"; appends each iteration's value to ``trace``."""
-    v, fval = v0, value(v0)
-    g, pairs, iters, stop = _tangent(v0, grad(v0)), [], 0, "max_iters"
+    v, fval, pairs = v0, value(v0), np.empty((0, 2) + v0.shape, complex)   # (s, y) pairs
+    g, iters, stop = _tangent(v0, grad(v0)), 0, "max_iters"
     while iters < max_iters and fval > _VALUE_FLOOR and stop != "step":
         d = _direction(v, g, pairs)
         slope, iters, t = _vdot(g, d), iters + 1, 1.0
@@ -66,10 +66,10 @@ def _descend(value, grad, v0: np.ndarray, max_iters: int, trace: list):
             trial = _retract(v + t * d)
             f_trial = value(trial)
             if fval - f_trial >= -_ARMIJO * t * slope:      # also a strict decrease
-                g_trial = _tangent(trial, grad(trial))
-                s, y = _tangent(trial, trial - v), g_trial - _tangent(trial, g)
+                g_trial, s, g_old = _tangent(trial, np.stack((grad(trial), trial - v, g)))
+                y = g_trial - g_old
                 if _vdot(s, y) > _CURVATURE * math.sqrt(_vdot(s, s) * _vdot(y, y)):
-                    pairs = (pairs + [(s, y)])[-_MEMORY:]
+                    pairs = np.concatenate((pairs, [(s, y)]))[-_MEMORY:]
                 v, fval, g = trial, f_trial, g_trial
                 break
             t *= 0.5

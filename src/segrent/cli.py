@@ -143,13 +143,14 @@ def write_state_file(path: str, obj) -> None:
 
 # ------------------------------------------------------------------- reports
 
-def _input_info(path: str, digest: str, state) -> dict:
-    return {
-        "path": path,
-        "sha256": digest,
-        "dims": list(state.dims.sizes),
-        "kind": "pure" if isinstance(state, BoxTensor) else "mixed",
-    }
+def _read_input(path: str, pure: bool):
+    """The state in ``path`` and its report's ``input`` block; ``pure`` refuses a rho."""
+    state, digest = read_state_file(path)      # by name, so bench/tracer.py can wrap it
+    kind = "pure" if isinstance(state, BoxTensor) else "mixed"
+    if pure and kind == "mixed":
+        raise StateFileError(f"{path}: this command needs a pure state ('amps')")
+    return state, {"path": path, "sha256": digest, "dims": list(state.dims.sizes),
+                   "kind": kind}
 
 
 def _envelope(command: str, argv, results: dict, input_info=None,
@@ -188,17 +189,10 @@ def _membership_dict(report) -> dict:
     }
 
 
-def _require_pure(state, path: str) -> BoxTensor:
-    if not isinstance(state, BoxTensor):
-        raise StateFileError(f"{path}: this command needs a pure state ('amps')")
-    return state
-
-
 # ------------------------------------------------------------------ commands
 
 def _cmd_measure(args, argv) -> dict:
-    state, digest = read_state_file(args.infile)
-    state = _require_pure(state, args.infile)
+    state, info = _read_input(args.infile, pure=True)
     cfg = MeasureConfig(normalization=args.norm, include_breakdown=args.breakdown)
     report = (measure_E if args.which == "E" else measure_F)(state, cfg)
     results = {
@@ -212,13 +206,11 @@ def _cmd_measure(args, argv) -> dict:
         results["per_class"] = {_class_key(k): v for k, v in report.per_class.items()}
     config = {"which": args.which, "normalization": report.normalization,
               "breakdown": args.breakdown}
-    return _envelope("measure", argv, results, _input_info(args.infile, digest, state),
-                     config)
+    return _envelope("measure", argv, results, info, config)
 
 
 def _cmd_separable(args, argv) -> dict:
-    state, digest = read_state_file(args.infile)
-    state = _require_pure(state, args.infile)
+    state, info = _read_input(args.infile, pure=True)
     if not 0.0 <= args.tol < np.inf:
         raise ConfigError(f"tol must be a finite number >= 0, got {args.tol!r}")
     check_residual_scans(state.dims)
@@ -227,8 +219,7 @@ def _cmd_separable(args, argv) -> dict:
         "segre": _membership_dict(segre_residual(state, args.tol)),
         "t_variety": _membership_dict(t_variety_residual(state, args.tol)),
     }
-    return _envelope("separable", argv, results,
-                     _input_info(args.infile, digest, state), {"tolerance": args.tol})
+    return _envelope("separable", argv, results, info, {"tolerance": args.tol})
 
 
 def _cmd_generators(args, argv) -> dict:
@@ -265,7 +256,7 @@ def _spec_text(dims: Dims):
 
 
 def _cmd_roof(args, argv) -> dict:
-    state, digest = read_state_file(args.infile)
+    state, info = _read_input(args.infile, pure=False)
     check_roof_dims(state.dims)     # before density() builds and diagonalizes a d x d matrix
     rho = state.density() if isinstance(state, BoxTensor) else state
     cfg = RoofConfig(ensemble_size=args.ensemble, restarts=args.restarts,
@@ -283,8 +274,7 @@ def _cmd_roof(args, argv) -> dict:
     }
     config = {"ensemble_size": args.ensemble, "restarts": args.restarts,
               "iters": args.iters, "seed": args.seed}
-    return _envelope("roof", argv, results, _input_info(args.infile, digest, state),
-                     config)
+    return _envelope("roof", argv, results, info, config)
 
 
 def _cmd_embed(args, argv) -> dict:

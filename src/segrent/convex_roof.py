@@ -43,6 +43,7 @@ RANK_FLOOR = 1e-12       # eigenvalues below this do not count toward the rank
 WEIGHT_FLOOR = 1e-14     # ensemble members below this weight are dropped
 GAP_TOL = 1e-6           # no further restart once the value is this close to the lower bound
 _ROUNDING = 1e-12        # a lower bound above the value by at most this is rounding
+_ISOMETRY_TOL = 1e-10    # largest entry of V^+ V - I that ensemble_from_isometry accepts
 SEARCH_MINOR_CAP = 1 << 28  # largest minor count one whole search may evaluate
 _SWEEP_FLOOR = 256          # least count of an iteration: its fixed cost, in minors
 ROOF_DIM_CAP = 1 << 11      # largest total dimension d whose d x d rho is diagonalized
@@ -129,8 +130,8 @@ def ensemble_from_isometry(rho: DensityMatrix, v) -> Decomposition:
         raise IsometryError(
             f"isometry must be K x {r} with K >= {r}, got shape {v.shape}")
     gram = v.conj().T @ v
-    if float(np.max(np.abs(gram - np.eye(r)))) > 1e-10:
-        raise IsometryError("columns are not orthonormal within 1e-10")
+    if float(np.max(np.abs(gram - np.eye(r)))) > _ISOMETRY_TOL:
+        raise IsometryError(f"columns are not orthonormal within {_ISOMETRY_TOL:g}")
     return _rows_decomposition(rho.dims, v @ (vecs * np.sqrt(lam)).T)
 
 

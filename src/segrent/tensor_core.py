@@ -161,11 +161,11 @@ class DensityMatrix:
         if not np.all(np.isfinite(mat)):
             raise DensityMatrixError("matrix entries must be finite (no NaN or Inf)")
         if not float(np.max(np.abs(mat - mat.conj().T))) <= _HERM_TOL:
-            raise DensityMatrixError("matrix is not Hermitian within 1e-10")
+            raise DensityMatrixError(f"matrix is not Hermitian within {_HERM_TOL:g}")
         if not abs(float(np.trace(mat).real) - 1.0) <= _TRACE_TOL:
-            raise DensityMatrixError("trace differs from 1 by more than 1e-10")
+            raise DensityMatrixError(f"trace differs from 1 by more than {_TRACE_TOL:g}")
         if float(np.min(np.linalg.eigvalsh(mat))) < _EIG_FLOOR:
-            raise DensityMatrixError("matrix has an eigenvalue below -1e-10")
+            raise DensityMatrixError(f"matrix has an eigenvalue below {_EIG_FLOOR:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
@@ -190,7 +190,7 @@ class Decomposition:
         if any(w <= 0.0 for w in weights):
             raise DimensionError("ensemble weights must be strictly positive")
         if abs(math.fsum(weights) - 1.0) > _TRACE_TOL:     # the mixture's trace
-            raise DimensionError("ensemble weights must sum to 1 within 1e-10")
+            raise DimensionError(f"ensemble weights must sum to 1 within {_TRACE_TOL:g}")
         dims = states[0].dims
         for s in states:
             if s.dims != dims:

@@ -754,6 +754,30 @@ def test_in_process_main_keeps_hashlib():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_that_draw_nothing_leave_out_numpy_random(tmp_path):
+    # numpy.random costs about 12 ms and 2 MB a command, and only a searching roof needs
+    # the descent; a numpy that imports numpy.random with itself is not checked
+    probe = "import sys, numpy; sys.exit('numpy.random' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], env=_child_env(), timeout=60).returncode:
+        pytest.skip("importing numpy loads numpy.random")
+    child = ("import sys\n"
+             "from segrent import cli\n"
+             "for args in sys.argv[1:]:\n"
+             "    sys.argv = ['segrent'] + args.split()\n"
+             "    try:\n"
+             "        cli._run()\n"
+             "    except SystemExit as exc:\n"
+             "        assert exc.code == 0, args\n"
+             "print(sorted({'numpy.random', 'segrent._stiefel'} & set(sys.modules)),"
+             " file=sys.stderr)\n")
+    commands = ["gen-state --name w --dims 2,2,2 --out w.json", "measure --in w.json",
+                "separable --in w.json", "generators --dims 2,2,2"]
+    proc = subprocess.run([sys.executable, "-c", child, *commands], capture_output=True,
+                          text=True, env=_child_env(), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_reports_are_reproducible(tmp_path, capsys):

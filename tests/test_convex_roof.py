@@ -72,10 +72,16 @@ def test_isometry_on_pure_state_repeats_it(ghz3):
         assert abs(np.vdot(st.amps, ghz3.amps)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_isometry_validation():
+def test_isometry_validation(monkeypatch):
     rho = werner_state(0.5)
-    with pytest.raises(sg.IsometryError):
+    with pytest.raises(sg.IsometryError, match=r"orthonormal within 1e-10$"):
         sg.ensemble_from_isometry(rho, np.ones((4, 4)))
+    v = _random_isometry(np.random.default_rng(0), 4, 4)
+    sg.ensemble_from_isometry(rho, v)
+    monkeypatch.setattr(convex_roof, "_ISOMETRY_TOL", 1e-20)    # the check and its message
+    with pytest.raises(sg.IsometryError, match=r"orthonormal within 1e-20$"):
+        sg.ensemble_from_isometry(rho, v)
+    monkeypatch.undo()
     with pytest.raises(sg.IsometryError):
         sg.ensemble_from_isometry(rho, np.eye(3))           # too few columns? wrong r
     with pytest.raises(sg.IsometryError):
@@ -181,6 +187,56 @@ def test_projected_gradient_is_tangent(k, r):
     normal = v.conj().T @ (g - xi)      # what it drops is V S with S Hermitian: orthogonal
     assert np.max(np.abs(normal - normal.conj().T)) <= 1e-12
     assert np.max(np.abs(g - xi - v @ normal)) <= 1e-12
+
+
+def test_stacked_tangent_is_per_matrix_tangent():
+    # the descent projects its (s, y) memory and its new gradient, step and old gradient as
+    # stacks; each matrix must come out as its own call gives it, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        k = int(rng.integers(2, 9))
+        r = int(rng.integers(2, k + 1))
+        lead = tuple(int(n) for n in rng.integers(0, 4, size=int(rng.integers(1, 3))))
+        v = _random_isometry(rng, k, r)
+        g = rng.standard_normal(lead + (k, r)) + 1j * rng.standard_normal(lead + (k, r))
+        stacked = _stiefel._tangent(v, g)
+        assert stacked.shape == g.shape
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(stacked[idx], _stiefel._tangent(v, g[idx])), (k, r, lead)
+
+
+def _direction_reference(v, g, pairs):
+    """-H g of two-loop L-BFGS, each (s, y) pair projected on its own at v."""
+    kept = []
+    for s, y in pairs:
+        s, y = _stiefel._tangent(v, s), _stiefel._tangent(v, y)
+        if np.vdot(s, y).real > 0.0:
+            kept.append((s, y, float(np.vdot(s, y).real)))
+    q, alphas = g, []
+    for s, y, sy in reversed(kept):
+        alphas.append(float(np.vdot(s, q).real) / sy)
+        q = q - alphas[-1] * y
+    if kept:
+        q = q * (kept[-1][2] / float(np.vdot(kept[-1][1], kept[-1][1]).real))
+    for (s, y, sy), a in zip(kept, reversed(alphas)):
+        q = q + (a - float(np.vdot(y, q).real) / sy) * s
+    return -q
+
+
+@pytest.mark.parametrize("k,r,n", [(2, 2, 0), (4, 2, 1), (6, 3, 5), (8, 4, 8)])
+def test_direction_matches_per_pair_reference(k, r, n):
+    rng = np.random.default_rng(k + n)
+    v = _random_isometry(rng, k, r)
+    g = _stiefel._tangent(v, rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r)))
+    s = rng.standard_normal((n, k, r)) + 1j * rng.standard_normal((n, k, r))
+    y = s + 0.5 * (rng.standard_normal((n, k, r)) + 1j * rng.standard_normal((n, k, r)))
+    y[::3] *= -1.0      # a pair with <s, y> <= 0 after projection is left out
+    pairs = np.stack((s, y), 1)
+    assert pairs.shape == (n, 2, k, r)
+    d = _stiefel._direction(v, g, pairs)
+    assert np.array_equal(d, _direction_reference(v, g, list(zip(s, y))))
+    if n == 0:
+        assert np.array_equal(d, -g)
 
 
 # ------------------------------------------------------------------ roof search

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import segrent as sg
+from segrent import tensor_core
 
 import oracles
 
@@ -273,18 +274,30 @@ def test_random_state_unknown_kind():
 
 # --------------------------------------------------- density and decomposition
 
-def test_density_matrix_validation():
+def test_density_matrix_validation(monkeypatch):
     good = np.eye(4) / 4.0
     sg.DensityMatrix((2, 2), good)
-    with pytest.raises(sg.DensityMatrixError):
+    with pytest.raises(sg.DensityMatrixError, match=r"more than 1e-10$"):
         sg.DensityMatrix((2, 2), np.eye(4))                  # trace 4
     bad = np.eye(4) / 4.0
     bad[0, 1] = 0.5                                          # not Hermitian
-    with pytest.raises(sg.DensityMatrixError):
+    with pytest.raises(sg.DensityMatrixError, match=r"Hermitian within 1e-10$"):
         sg.DensityMatrix((2, 2), bad)
     indef = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)   # negative eigenvalue
-    with pytest.raises(sg.DensityMatrixError):
+    with pytest.raises(sg.DensityMatrixError, match=r"below -1e-10$"):
         sg.DensityMatrix((2, 2), indef)
+    # each check and its message read the same constant
+    monkeypatch.setattr(tensor_core, "_HERM_TOL", 1e-3)
+    with pytest.raises(sg.DensityMatrixError, match=r"Hermitian within 0\.001$"):
+        sg.DensityMatrix((2, 2), bad)
+    monkeypatch.setattr(tensor_core, "_TRACE_TOL", 0.5)
+    sg.DensityMatrix((2, 2), np.eye(4) * 0.3)                # trace 1.2
+    with pytest.raises(sg.DensityMatrixError, match=r"more than 0\.5$"):
+        sg.DensityMatrix((2, 2), np.eye(4))
+    monkeypatch.setattr(tensor_core, "_EIG_FLOOR", -0.2)
+    sg.DensityMatrix((2, 2), indef)
+    with pytest.raises(sg.DensityMatrixError, match=r"below -0\.2$"):
+        sg.DensityMatrix((2, 2), np.diag([0.8, 0.5, -0.3, 0.0]))
     with pytest.raises(sg.DimensionError):
         sg.DensityMatrix((2, 2), np.eye(3) / 3.0)
     for bad in (np.nan, np.inf):
@@ -314,12 +327,17 @@ def test_density_refuses_non_unit_state():
         sg.BoxTensor((2, 2), [1.0, 0.0, 0.0, 1.0]).density()
 
 
-def test_decomposition_validation(bell, ghz3):
+def test_decomposition_validation(bell, ghz3, monkeypatch):
     sg.Decomposition((1.0,), (bell,))
     with pytest.raises(sg.DimensionError):
         sg.Decomposition((), ())                              # empty
-    with pytest.raises(sg.DimensionError):
+    with pytest.raises(sg.DimensionError, match=r"sum to 1 within 1e-10$"):
         sg.Decomposition((0.5, 0.6), (bell, bell))           # weights sum > 1
+    monkeypatch.setattr(tensor_core, "_TRACE_TOL", 0.2)      # the check and its message
+    sg.Decomposition((0.5, 0.6), (bell, bell))
+    with pytest.raises(sg.DimensionError, match=r"sum to 1 within 0\.2$"):
+        sg.Decomposition((0.5, 0.8), (bell, bell))
+    monkeypatch.undo()
     with pytest.raises(sg.DimensionError):
         sg.Decomposition((1.0, -0.0), (bell, bell))          # nonpositive weight
     with pytest.raises(sg.DimensionError):
