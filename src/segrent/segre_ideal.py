@@ -193,29 +193,22 @@ def _generator_sum(state: BoxTensor, rows: tuple[int, ...]) -> float:
 
 def _row_pairs(row_shape: Sequence[int], budget: int):
     """Non-empty blocks (r1, r2) of at most ``budget`` row pairs r1 < r2 of ``row_shape`` that
-    differ in every slot, in np.triu_indices order; for a one-slot shape, every pair.
-
-    With first digits a < b = a + 1 + t, the pairs of first digit a are ordered by (r1's
-    tail, t, the digits e of r2's tail), where r2's digit at a slot is the e-th of those
-    that differ from r1's; they start at starts[a], so each block decodes only kept pairs."""
+    differ in every slot, every block but the last full; for a one-slot shape, every pair in
+    np.triu_indices order. The kept pairs are a product, so a pair index has one mixed-radix
+    digit per slot, most significant first: a first-digit pair a < b in triangle order, then
+    at each other slot an ordered pair of different digits (d, f); blocks decode no others."""
     n, budget = row_shape[0], max(1, budget)
-    tails, width = math.prod(row_shape[1:]), math.prod(k - 1 for k in row_shape[1:])
-    # first digits (a', b) with a' < a: a (2n - a - 1) / 2 of them, each with tails * width pairs
-    starts = (np.cumsum(n - np.arange(n)) - n) * (tails * width)
-    count = tails * width * n * (n - 1) // 2
+    radix = [n * (n - 1) // 2] + [k * (k - 1) for k in row_shape[1:]]
+    starts = np.cumsum(n - np.arange(n)) - n    # first-digit pairs (a', b) with a' < a
+    count = math.prod(radix)
     for p in range(0, count, budget):
-        q = np.arange(p, min(p + budget, count))
-        a = np.searchsorted(starts, q, side="right") - 1
-        q -= starts[a]
-        r1, q = np.divmod(q, (n - 1 - a) * width)
-        t, q = np.divmod(q, width)
-        r2, row, place = (a + 1 + t) * tails, r1, 1
-        for k in reversed(row_shape[1:]):
-            row, d = np.divmod(row, k)
-            q, e = np.divmod(q, k - 1)
-            r2 += (e + (e >= d)) * place
-            place *= k
-        yield a * tails + r1, r2
+        q, *slots = np.unravel_index(np.arange(p, min(p + budget, count)), radix)
+        r1 = np.searchsorted(starts, q, side="right") - 1
+        r2 = q - starts[r1] + r1 + 1
+        for k, i in zip(row_shape[1:], slots):
+            d, f = np.divmod(i, k - 1)
+            r1, r2 = r1 * k + d, r2 * k + f + (f >= d)
+        yield r1, r2
 
 
 def _check_scan(sizes: Sequence[int], families: Sequence[tuple[int, ...]]) -> int:

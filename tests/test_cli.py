@@ -788,3 +788,51 @@ def test_reports_are_reproducible(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+class _HashSink:
+    """A stdout that keeps only the SHA-256 of the text written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+# the digests that CI checks on the installed entry point, from files of the same names.
+# W and GHZ tie on many minors, and at 10 qubits the scan's tiles split the columns
+REPORT_DIGESTS = [
+    ("separable --in w10.json",
+     "9ba4cc0bfff230a81ae4b9427f52615709adbab98686da90899828c119d79959"),
+    ("separable --in ghz3.json",
+     "2a74d3f56088127b5f7b8e570ec23bf7d89ec00dd89efd8df544a81f682bc5f0"),
+    ("separable --in int3x5.json",
+     "4d74bebd17658ff892784c5a59e891d8e37ece952723310d86166e328c3f59fa"),
+    ("generators --dims 2,3,4,5",
+     "757ba2554f836c276c6b6d815c8e367def1bfc216cef2f4d320aedd552c94e45"),
+    ("generators --dims 2,2,2,2,2,2,2,2",
+     "e8ac01cb8b2417118fae3babd8e8b59e0f08065c31ba7033778773a9225d5f74"),
+]
+
+
+@pytest.mark.parametrize("command,digest", REPORT_DIGESTS, ids=[c for c, _ in REPORT_DIGESTS])
+def test_report_digests(tmp_path, monkeypatch, command, digest):
+    monkeypatch.chdir(tmp_path)
+    ghz3, i = np.zeros(3 ** 6), np.arange(243)
+    ghz3[[0, 364, 728]] = 1 / np.sqrt(3)
+    # int3x5: qutrit rows with generic integer values whose products are exact, so its
+    # report is the same whatever numpy or BLAS computes the minors with
+    for name, state in (("w10.json", sg.named_state("w", (2,) * 10)),
+                        ("ghz3.json", sg.BoxTensor((3,) * 6, ghz3)),
+                        ("int3x5.json", sg.BoxTensor((3,) * 5, ((5 * i) % 13 - 6)
+                                                     + 1j * ((7 * i) % 9 - 4)))):
+        if name in command:
+            cli.write_state_file(name, state)
+    sink = _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)    # the 2^8 generators report is 45.6 MB
+    assert cli.main(command.split()) == 0
+    assert sink.hash.hexdigest() == digest

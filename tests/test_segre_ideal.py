@@ -86,14 +86,18 @@ def test_pair_walk_is_the_triangle_in_order(n):
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3), (4, 2, 3)])
 def test_row_pair_builder_is_the_kept_triangle_in_order(shape):
+    # each kept pair once, r1 < r2, in full blocks; past one slot no caller reads the order
+    # (test_pair_walk_is_the_triangle_in_order pins the one-slot order)
     every = list(itertools.product(*map(range, shape)))
-    want = [(every.index(k), every.index(l)) for k, l in itertools.combinations(every, 2)
-            if all(x != y for x, y in zip(k, l))]
+    want = {(every.index(k), every.index(l)) for k, l in itertools.combinations(every, 2)
+            if all(x != y for x, y in zip(k, l))}
     for budget in (1, 7, 1 << 20):
         blocks = list(segre_ideal._row_pairs(shape, budget))
         assert all(0 < r1.size <= budget for r1, _ in blocks)
         assert all(r1.size == budget for r1, _ in blocks[:-1])    # kept pairs fill each block
-        assert [p for r1, r2 in blocks for p in zip(r1.tolist(), r2.tolist())] == want
+        got = [p for r1, r2 in blocks for p in zip(r1.tolist(), r2.tolist())]
+        assert set(got) == want and len(got) == len(want)
+        assert all(r1 < r2 for r1, r2 in got)
 
 
 def test_minor_spec_invariants():
@@ -354,6 +358,36 @@ def test_block_streaming_matches_single_block(monkeypatch):
             assert (a.residual, a.worst) == (b.residual, b.worst)
         sums_chunked = segre_ideal.slot_generator_sums(st)
         assert np.max(np.abs(sums_whole - sums_chunked)) <= 1e-13
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sg.random_state("haar-pure", (2,) * 6, seed=101),
+    lambda: sg.random_state("haar-pure", (3,) * 4, seed=102),
+    lambda: sg.random_state("haar-pure", (4, 2, 3), seed=103),
+    lambda: sg.named_state("w", (2,) * 6),
+    lambda: _tie_states((3,) * 4)[2],      # GHZ
+    lambda: sg.named_state("basis-product", (2, 3, 2)),
+], ids=["haar-2^6", "haar-3^4", "haar-423", "w-2^6", "ghz-3^4", "basis-product-232"])
+def test_residuals_do_not_depend_on_row_pair_order(monkeypatch, make):
+    # the witness rule picks among ties whatever the visit order: the same pairs walked
+    # backwards, in blocks of the same sizes, give the same bits and the same witness; a
+    # 64-value tile makes blocks of at most 4 row pairs, so most walks have several
+    st, real_pairs, walks = make(), segre_ideal._row_pairs, []
+
+    def backwards(row_shape, budget):
+        blocks = list(real_pairs(row_shape, budget))
+        walks.append(len(blocks))
+        if blocks:
+            cuts = np.cumsum([r1.size for r1, _ in blocks])[:-1]
+            r1, r2 = (np.concatenate(r)[::-1] for r in zip(*blocks))
+            yield from zip(np.split(r1, cuts), np.split(r2, cuts))
+
+    residuals = (sg.segre_residual, sg.t_variety_residual)
+    want = [(r.residual.hex(), r.worst) for r in (f(st) for f in residuals)]
+    monkeypatch.setattr(segre_ideal, "_row_pairs", backwards)
+    monkeypatch.setattr(segre_ideal, "_SCAN_TILE", 64)
+    assert [(r.residual.hex(), r.worst) for r in (f(st) for f in residuals)] == want
+    assert sum(walks) > len(walks)     # some walk had more than one block to reverse
 
 
 def _count_tiles(monkeypatch):
