@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import itertools
 import json
 import os
 import re
@@ -136,8 +137,12 @@ def read_state_file(path: str):
 
 
 def write_state_file(path: str, obj) -> None:
+    _write_document(path, state_file_dict(obj))
+
+
+def _write_document(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_file_dict(obj), fh, sort_keys=True, indent=2, allow_nan=False)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -222,7 +227,7 @@ def _cmd_separable(args, argv) -> dict:
     return _envelope("separable", argv, results, info, {"tolerance": args.tol})
 
 
-def _cmd_generators(args, argv) -> dict:
+def _cmd_generators(args, argv):
     dims = Dims(args.dims)
     per_slot = slot_generator_counts(dims)
     results = {
@@ -231,14 +236,13 @@ def _cmd_generators(args, argv) -> dict:
         "per_slot": {str(j): n for j, n in enumerate(per_slot) if n},   # none for one party
         "specs": _SPECS if dims.m > 1 else [],
     }
-    report = _Report(_envelope("generators", argv, results, None, {"dims": list(dims.sizes)}))
-    report.raw = {json.dumps(_SPECS): _spec_text(dims)}
-    return report
-
-
-class _Report(dict):
-    """A report; its ``raw`` maps the JSON text of each placeholder in it to the chunks of
-    text that the writer puts in its place."""
+    report = _envelope("generators", argv, results, None, {"dims": list(dims.sizes)})
+    if dims.m < 2:
+        return report
+    # "results" and its "specs" sort after every key that could hold a caller's text
+    head, _, tail = json.dumps(report, sort_keys=True, indent=2,
+                               allow_nan=False).rpartition(json.dumps(_SPECS))
+    return itertools.chain((head,), _spec_text(dims), (tail,))
 
 
 def _spec_text(dims: Dims):
@@ -305,8 +309,8 @@ def _cmd_gen_state(args, argv) -> dict:
                              f"amplitudes for dims {dims.sizes}")
     state = named_state(args.name, dims)
     doc = state_file_dict(state)
-    if args.out:
-        write_state_file(args.out, state)
+    if args.out:        # the report's own lists, so they are built once
+        _write_document(args.out, doc)
     return doc
 
 
@@ -375,17 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Spliced:
-    """Writes what it is given to ``out``, but the chunks of ``raw[text]`` for a key ``text``."""
-
-    def __init__(self, out, raw: dict):
-        self.out, self.raw = out, raw
-
-    def write(self, text: str) -> None:
-        for part in self.raw.pop(text, (text,)):
-            self.out.write(part)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -399,10 +392,12 @@ def main(argv=None) -> int:
         with contextlib.suppress(AttributeError):     # a stand-in for stdout may lack it
             # so stdout writes about 8 KiB at a time, also under PYTHONUNBUFFERED
             sys.stdout.reconfigure(line_buffering=False, write_through=False)
-        raw = getattr(report, "raw", None)
-        # inputs are checked finite, so a NaN here is an internal error
-        json.dump(report, _Spliced(sys.stdout, raw) if raw else sys.stdout,
-                  sort_keys=True, indent=2, allow_nan=False)
+        if isinstance(report, dict):
+            # inputs are checked finite, so a NaN here is an internal error
+            json.dump(report, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
+        else:
+            for chunk in report:
+                sys.stdout.write(chunk)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:

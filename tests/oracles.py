@@ -168,6 +168,12 @@ def werner_concurrence(p):
     return max(0.0, (3.0 * p - 1.0) / 2.0)
 
 
+def isotropic_concurrence(d, f):
+    """Concurrence of the d x d isotropic state of fidelity f with the maximally entangled
+    state (Rungta and Caves, PRA 67, 012307, 2003)."""
+    return max(0.0, np.sqrt(2.0 * d / (d - 1)) * (f - 1.0 / d))
+
+
 def brute_wootters(rho):
     """Closed-form two-qubit mixed concurrence, spelled out directly."""
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])

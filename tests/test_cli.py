@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,27 @@ def test_gen_state_writes_file(tmp_path, capsys):
     doc = run_json(capsys, "gen-state", "--name", "bell", "--dims", "2,2",
                    "--out", str(out))
     assert json.loads(out.read_text()) == doc
+
+
+@pytest.mark.parametrize("qubits", [12, 14])
+def test_gen_state_out_writes_the_report_document(tmp_path, monkeypatch, qubits):
+    # the file is the report's own document: its bytes are stdout's, and its [re, im] lists
+    # are not built a second time
+    out, argv = tmp_path / "ghz.json", ["gen-state", "--name", "ghz", "--dims",
+                                        ",".join(["2"] * qubits)]
+    peaks, digests = [], []
+    for extra in ([], ["--out", str(out)]):
+        sink = _HashSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        digests.append(sink.hash.hexdigest())
+    assert digests[0] == digests[1] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_measure_round_trips_library_value(tmp_path, capsys, bell):
@@ -171,6 +193,14 @@ def test_generators_report_bytes(capsys, dims):
     code, out, err = run_cli(capsys, "generators", "--dims", dims_arg)
     assert (code, err) == (0, "")
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_generators_report_does_not_depend_on_how_json_chunks_its_text(capsys, monkeypatch):
+    # a json.dump that writes its whole text in one call, as an encoder written in C may
+    _, expected, _ = run_cli(capsys, "generators", "--dims", "2,3")
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(
+        dumps=json.dumps, dump=lambda obj, fp, **kw: fp.write(json.dumps(obj, **kw))))
+    assert run_cli(capsys, "generators", "--dims", "2,3") == (0, expected, "")
 
 
 def test_generators_report_memory(monkeypatch):

@@ -509,6 +509,23 @@ def test_roof_lower_equals_werner_closed_form(p):
     assert abs(est.lower - max(0.0, (3.0 * p - 1.0) / 2.0)) <= 1e-12
 
 
+def _isotropic_state(d, f):
+    """F |phi+><phi+| + (1 - F) (I - |phi+><phi+|) / (d^2 - 1) on d x d."""
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.outer(phi, phi)
+    return sg.DensityMatrix((d, d), f * proj + (1.0 - f) / (d * d - 1) * (np.eye(d * d) - proj))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_roof_lower_equals_isotropic_closed_form(d):
+    for f in (1 / d ** 2, 1 / (2 * d), 1 / d, 1 / d + 0.05, 0.6, 0.9, 1.0):
+        exact = oracles.isotropic_concurrence(d, f)
+        assert abs(_lower_bound(_isotropic_state(d, f)) - exact) <= 1e-12, f
+    # one short restart, so the bound comes through roof_F on the 4 x 4 state too
+    est = sg.roof_F(_isotropic_state(d, 0.6), sg.RoofConfig(restarts=1, max_iters=1))
+    assert abs(est.lower - oracles.isotropic_concurrence(d, 0.6)) <= 1e-12
+
+
 @pytest.mark.parametrize("dims,rank", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 3), 2), ((2, 3), 3)])
 def test_roof_lower_invariant_under_local_unitaries_and_permutations(dims, rank):
     rng = np.random.default_rng(17)
